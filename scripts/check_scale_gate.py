@@ -9,8 +9,11 @@ Two legs, both required for the entity-axis scaling work to be trusted
   the seam's ``dense``/``blocked``/``topk`` strategies) against freshly
   seeded identical models, and every entity metric dict must be
   *exactly* equal.  Blocked and top-k scoring are bitwise-identical to
-  dense by construction (a blocking-invariant ``einsum`` kernel); this
-  leg proves it end to end, including the mask/dedup plumbing.
+  dense by construction (a tile-invariant ``einsum`` kernel); this
+  leg proves it end to end, including the mask/dedup plumbing.  A
+  second pass repeats the seam strategies on float32 models, where the
+  kernel compares in float32; legacy versus dense at float32 is not
+  part of the contract, so that pass compares the seam with itself.
 * **scale leg** — the 10^5-entity ``ICEWS-SCALE`` profile is evaluated
   through :func:`repro.bench.benchmark_scale` (frozen window, memmap
   embedding tables, blocked scorer, sharded workers) and both measured
@@ -55,6 +58,8 @@ REQUIRED_KEYS = (
 #: scorer seam.  Odd block sizes on purpose: uneven final blocks are
 #: the regression-prone case.
 RANK_STRATEGIES = ("legacy", "dense", "blocked:7:40", "topk:10")
+#: The float32 pass: the seam strategies only.
+FLOAT32_RANK_STRATEGIES = RANK_STRATEGIES[1:]
 
 
 def load_baseline(path: Path) -> dict:
@@ -75,8 +80,10 @@ def load_baseline(path: Path) -> dict:
     return baseline
 
 
-def check_rank_identity(seed: int, registry) -> list:
-    """Entity metrics must be exactly equal across scoring strategies."""
+def check_rank_identity(
+    seed: int, registry, dtype: str = "float64", strategies=RANK_STRATEGIES
+) -> list:
+    """Entity metrics must be exactly equal across ``strategies`` at ``dtype``."""
     from repro.bench.runner import BENCH_PROFILES, build_retia_config
     from repro.core import RETIA
     from repro.datasets import load_dataset
@@ -86,7 +93,7 @@ def check_rank_identity(seed: int, registry) -> list:
     profile = BENCH_PROFILES["ICEWS14"]
 
     def fresh_model():
-        model = RETIA(build_retia_config(dataset, profile, seed=seed))
+        model = RETIA(build_retia_config(dataset, profile, seed=seed, dtype=dtype))
         model.set_history(dataset.train)
         for t in dataset.valid.timestamps:
             model.record_snapshot(dataset.valid.snapshot(int(t)))
@@ -94,7 +101,7 @@ def check_rank_identity(seed: int, registry) -> list:
         return model
 
     metrics = {}
-    for spec in RANK_STRATEGIES:
+    for spec in strategies:
         model = fresh_model()
         model.set_scorer(None if spec == "legacy" else spec)
         result = evaluate_extrapolation_sharded(
@@ -102,20 +109,20 @@ def check_rank_identity(seed: int, registry) -> list:
         )
         metrics[spec] = result.entity
         shown = {k: round(v, 6) for k, v in result.entity.items()}
-        print(f"rank leg: {spec:<14} entity metrics {shown}")
+        print(f"rank leg: {dtype} {spec:<14} entity metrics {shown}")
         for metric, value in result.entity.items():
             registry.gauge(
                 "scale_rank_identity_metric",
                 help="entity metric per candidate scoring strategy",
-            ).set(value, dataset=dataset.name, scorer=spec, metric=metric)
+            ).set(value, dataset=dataset.name, scorer=spec, metric=metric, dtype=dtype)
 
     problems = []
-    reference = metrics[RANK_STRATEGIES[0]]
-    for spec in RANK_STRATEGIES[1:]:
+    reference = metrics[strategies[0]]
+    for spec in strategies[1:]:
         if metrics[spec] != reference:
             problems.append(
-                f"scorer {spec!r} entity metrics {metrics[spec]} differ from "
-                f"{RANK_STRATEGIES[0]!r} metrics {reference}"
+                f"{dtype} scorer {spec!r} entity metrics {metrics[spec]} differ from "
+                f"{strategies[0]!r} metrics {reference}"
             )
     return problems
 
@@ -159,6 +166,11 @@ def main() -> int:
 
     if args.leg in ("rank", "both"):
         problems.extend(check_rank_identity(args.seed, registry))
+        problems.extend(
+            check_rank_identity(
+                args.seed, registry, dtype="float32", strategies=FLOAT32_RANK_STRATEGIES
+            )
+        )
 
     result = None
     if args.leg in ("scale", "both"):

@@ -6,6 +6,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.scale.scorers import count_ranks
+
 
 def ranks_from_scores(
     scores: np.ndarray,
@@ -29,21 +31,13 @@ def ranks_from_scores(
         (known true facts under a filtered setting).  The target itself is
         never excluded.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = np.asarray(scores)
     targets = np.asarray(targets, dtype=np.int64)
     if scores.ndim != 2 or len(targets) != scores.shape[0]:
         raise ValueError("scores must be (B, C) with one target per row")
-    if filter_mask is not None:
-        scores = scores.copy()
-        mask = np.asarray(filter_mask, dtype=bool).copy()
-        mask[np.arange(len(targets)), targets] = False
-        scores[mask] = -np.inf
-
-    rows = np.arange(len(targets))
-    target_scores = scores[rows, targets][:, None]
-    greater = (scores > target_scores).sum(axis=1)
-    ties = (scores == target_scores).sum(axis=1) - 1  # excl. the target
-    return 1.0 + greater + ties / 2.0
+    # The candidate scorers' counting core: compares in the scores' own
+    # dtype and counts only unmasked columns, so nothing is copied.
+    return count_ranks(scores, targets, filter_mask)
 
 
 def log_spaced_rank_edges(max_rank: int = 1_000_000) -> Tuple[float, ...]:

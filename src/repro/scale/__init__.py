@@ -6,10 +6,10 @@ millions-of-entities vocabularies the ROADMAP north-star asks for.
 This package makes candidate scoring a *strategy*:
 
 * :class:`~repro.scale.scorers.DenseScorer` — reference implementation
-  of the scorer seam (one block, exact).
-* :class:`~repro.scale.scorers.BlockedScorer` — streams query/candidate
-  blocks through a summation-order-invariant kernel; bit-identical
-  scores to :class:`DenseScorer` at every block size, bounded memory.
+  of the scorer seam (no block caps, exact).
+* :class:`~repro.scale.scorers.BlockedScorer` — caps query tiles and
+  candidate chunks of the shared cache-resident tile kernel;
+  bit-identical scores to :class:`DenseScorer` at every block size.
 * :class:`~repro.scale.scorers.TopKScorer` — blocked streaming plus
   partial top-k selection; same exact gold ranks, so MRR/Hits are
   unchanged.

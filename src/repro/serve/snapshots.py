@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-from repro.autograd import Tensor, no_grad
+from repro.autograd import DtypePolicy, Tensor, no_grad
 
 
 class SnapshotUnavailable(RuntimeError):
@@ -90,21 +90,20 @@ def capture(
         if was_training and hasattr(model, "train"):
             model.train()
 
-    if spill_dir is None:
-        def _freeze(kind: str, index: int, tensor: Tensor) -> Tensor:
-            return Tensor(tensor.data.copy())
-    else:
-        from repro.autograd import DtypePolicy
-        from repro.scale import EmbeddingStore
+    def _freeze(kind: str, index: int, tensor: Tensor) -> Tensor:
+        if spill_dir is None:
+            table = tensor.data.copy()
+        else:
+            from repro.scale import EmbeddingStore
 
-        def _freeze(kind: str, index: int, tensor: Tensor) -> Tensor:
             path = os.path.join(spill_dir, f"{kind}_v{int(version)}_t{index}.npy")
             table = EmbeddingStore.save(path, tensor.data).data
-            # Construct under the table's own dtype so the Tensor wraps
-            # the memmap without copying: rows then load lazily as the
-            # decoder gathers them.
-            with DtypePolicy(table.dtype):
-                return Tensor(table)
+        # Construct under the table's own dtype so the Tensor wraps it
+        # without a cast: a float32 model's stacks stay float32 (the
+        # process default would widen them to float64), and a memmap
+        # loads rows lazily as the decoder gathers them.
+        with DtypePolicy(table.dtype):
+            return Tensor(table)
 
     return EmbeddingSnapshot(
         ts=int(ts),

@@ -10,6 +10,7 @@ refuses reports that mix scoring strategies.
 
 import importlib.util
 import pickle
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,8 @@ from repro.scale import (
     get_scorer,
     select_topk,
 )
+from repro.scale import scorers
+from repro.scale.scorers import DEFAULT_QUERY_BLOCK
 
 _HEALTH_PATH = Path(__file__).resolve().parent.parent / "scripts" / "check_run_health.py"
 _spec = importlib.util.spec_from_file_location("check_run_health_scale", _HEALTH_PATH)
@@ -131,6 +134,86 @@ class TestBlockedBitIdentity:
         for row, picks in zip(scores, selected):
             reference = np.lexsort((np.arange(row.size), -row))[:4]
             assert np.array_equal(picks, reference)
+
+
+def reference_sum_probs(queries, tables):
+    """Whole-matrix oracle: one einsum, softmax over candidates, sum over T."""
+    logits = np.stack([np.einsum("bd,cd->bc", q, c) for q, c in zip(queries, tables)])
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits.sum(axis=0)
+
+
+class TestTileKernel:
+    """The shared tile kernel against the whole-matrix oracle and ``dense``.
+
+    A small ``WORKSPACE_BYTES`` forces tiles of a few rows, so the
+    query/candidate blocks below do not divide the tile height.
+    """
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("snaps", [1, 3])
+    @pytest.mark.parametrize("budget_rows", [1, 3, 1000])
+    def test_exact_across_dtypes_windows_and_tile_heights(
+        self, monkeypatch, dtype, snaps, budget_rows
+    ):
+        queries, tables, targets, mask, _ = random_problem(seed=11, snaps=snaps, unique=23)
+        queries = (queries * 8).astype(dtype)  # wide logits: exp underflow included
+        tables = [t.astype(dtype) for t in tables]
+        rng = np.random.default_rng(12)
+        inverse = rng.integers(0, 4, size=len(targets))  # 40 rows over 4 queries
+        inverse[:23] = np.arange(23)
+        monkeypatch.setattr(
+            scorers, "WORKSPACE_BYTES", budget_rows * snaps * 37 * np.dtype(dtype).itemsize
+        )
+        expected = reference_sum_probs(queries, tables)
+        dense = DenseScorer()
+        assert np.array_equal(dense.sum_probs(queries, tables), expected)
+        masks = (None, mask)
+        dense_ranks = [
+            dense.ranks(queries, tables, targets, mask=m, inverse=inverse) for m in masks
+        ]
+        for m, ranks in zip(masks, dense_ranks):
+            assert np.array_equal(ranks, ranks_from_scores(expected[inverse], targets, m))
+        for scorer in (BlockedScorer(2, 5), BlockedScorer(4, 36), TopKScorer(3, 7, 10)):
+            probs = scorer.sum_probs(queries, tables)
+            assert probs.dtype == np.dtype(dtype) and np.array_equal(probs, expected)
+            for m, ranks in zip(masks, dense_ranks):
+                assert np.array_equal(
+                    scorer.ranks(queries, tables, targets, mask=m, inverse=inverse), ranks
+                )
+            picks = scorer.topk(queries, tables, 4)
+            assert [p.tolist() for p in picks] == [select_topk(r, 4).tolist() for r in expected]
+
+    def test_ranks_count_in_the_working_dtype_like_float64(self):
+        queries, tables, targets, mask, inverse = random_problem(seed=13)
+        queries = queries.astype(np.float32)
+        tables = [t.astype(np.float32) for t in tables]
+        scores = DenseScorer().sum_probs(queries, tables)
+        assert scores.dtype == np.float32
+        for m in (None, mask):
+            assert np.array_equal(
+                DenseScorer().ranks(queries, tables, targets, mask=m, inverse=inverse),
+                ranks_from_scores(scores[inverse].astype(np.float64), targets, m),
+            )
+
+    @pytest.mark.parametrize("scorer", [BlockedScorer(), DenseScorer()])
+    def test_ranks_peak_allocation_is_workspace_sized(self, scorer):
+        rng = np.random.default_rng(14)
+        snaps, unique, candidates = 2, 128, 20000
+        queries = rng.normal(size=(snaps, unique, 4))
+        tables = [rng.normal(size=(candidates, 4)) for _ in range(snaps)]
+        inverse = np.concatenate([np.arange(unique), rng.integers(0, unique, size=40)])
+        targets = rng.integers(0, candidates, size=inverse.size)
+        tracemalloc.start()
+        try:
+            scorer.ranks(queries, tables, targets, inverse=inverse)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block_bytes = snaps * DEFAULT_QUERY_BLOCK * candidates * 8  # one (T, QB, C) block
+        assert peak <= scorers.WORKSPACE_BYTES + (1 << 20) < block_bytes // 8
 
 
 class TestSelectTopK:

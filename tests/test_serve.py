@@ -426,6 +426,48 @@ class TestModelServer:
         finally:
             assert server.drain()
 
+    def test_float32_scorer_path_answers_and_matches_dense(self, splits):
+        # capture() must keep a float32 model's frozen stacks float32:
+        # widened to float64, the scorer's einsum refuses to write its
+        # float32 output and every query would answer 500.
+        from repro.scale import DenseScorer
+
+        train, valid, test = splits
+        ts = int(test.timestamps[0])
+        queries = np.array([[0, 1], [5, 2], [3, 0], [0, 1]], dtype=np.int64)
+        responses = {}
+        for scorer in (None, "blocked:7:11"):
+            model = RETIA(
+                RETIAConfig(
+                    num_entities=16, num_relations=3, dim=8, history_length=2,
+                    num_kernels=4, seed=0, dtype="float32",
+                )
+            )
+            model.set_history(train)
+            for t in valid.timestamps:
+                model.record_snapshot(valid.snapshot(int(t)))
+            model.eval()
+            server = ModelServer(
+                model, config=ServeConfig(default_deadline_ms=2000.0, seed=0), scorer=scorer
+            )
+            try:
+                server.start(ts=ts)
+                snapshot, _ = server.store.current()
+                assert {e.data.dtype for e in snapshot.entity_list} == {np.dtype(np.float32)}
+                response = server.score(queries)
+                assert response.status == STATUS_OK, response.error
+                assert response.scores.dtype == np.float32
+                responses[scorer] = response.scores
+                if scorer is None:
+                    # The default decode path still equals predict_entities.
+                    assert np.array_equal(response.scores, model.predict_entities(queries, ts))
+                else:
+                    dense = score_entities(model, snapshot, queries, scorer=DenseScorer())
+                    assert np.array_equal(response.scores, dense)
+            finally:
+                assert server.drain()
+        np.testing.assert_allclose(responses["blocked:7:11"], responses[None], rtol=1e-5)
+
     def test_ingest_marks_stale_then_refresh_publishes(self, splits):
         train, valid, test = splits
         server = make_server(splits)
