@@ -43,7 +43,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.bench import append_entry, benchmark_eval, make_entry
+from repro.bench import append_entry, make_entry, run_benchmark
 from repro.core import RETIA, RETIAConfig, Trainer, TrainerConfig
 from repro.datasets import load_dataset
 from repro.eval import diagnose_extrapolation, evaluate_extrapolation, known_entities_of
@@ -218,20 +218,14 @@ def main() -> int:
     timings = {}
     for workers in sorted(set(args.workers) | {1}):
         results = [
-            benchmark_eval(
-                args.dataset, workers=workers, seed=args.seed, registry=registry
-            )
+            run_benchmark("eval", args.dataset, seed=args.seed, registry=registry, workers=workers)
             for _ in range(args.bench_repeats)
         ]
         best = min(results, key=lambda r: r["eval_seconds_per_step"])
         timings[workers] = best["eval_seconds_per_step"]
         print(f"  workers={workers}: {timings[workers] * 1000:.2f} ms/step")
         if args.history:
-            append_entry(
-                args.history,
-                make_entry(best, name="eval",
-                           extra={"workers": workers, "cpus": cpus}),
-            )
+            append_entry(args.history, make_entry(best, name="eval"))
     top = max(timings)
     speedup = timings[1] / timings[top] if timings[top] > 0 else float("inf")
     waived = cpus < top

@@ -1,23 +1,26 @@
-"""Benchmark history: append-only JSONL trajectory + regression gating.
+"""Benchmark ledger: append-only JSONL trajectory + the one comparison.
 
-The encoder budget gate (PR 1) compares one measurement against one
-static baseline — it catches a 2x cliff but is blind to gradual drift,
-and it records nothing.  This module gives every
-:func:`~repro.bench.runner.benchmark_encoder` (and any ``bench.runner``
-measurement) a durable trajectory:
+Every :func:`repro.bench.perf.run_benchmark` measurement can land in a
+durable trajectory:
 
 * :func:`append_entry` appends one JSON object per measurement to
   ``BENCH_history.jsonl`` (append + flush, so concurrent CI jobs at
   worst interleave whole lines);
 * :func:`summarize_history` / :func:`write_summary` maintain a rolling
-  ``BENCH_encoder.json`` (min / median / mean / last over a window, per
-  dataset) — the human-readable state of the trajectory;
-* :func:`detect_regression` is the noise-aware gate: the candidate (a
-  min-of-k over fresh repeats) is compared against the *minimum* of the
-  last ``window`` recorded measurements.  Min-of-k on both sides makes
-  the comparison a noise-floor-vs-noise-floor test, so scheduler jitter
-  does not fail CI while a real slowdown (the fault-injected-sleep CI
-  drill injects one) cannot hide in it.
+  per-component summary (min / median / mean / last over a window, per
+  dataset), the human-readable state of the trajectory;
+* :func:`detect_regression` is the noise-aware ledger gate: the
+  candidate (a min-of-k over fresh repeats) is compared against the
+  *minimum* of the last ``window`` entries of its own series.  Min-of-k
+  on both sides makes it a noise-floor-vs-noise-floor test, so
+  scheduler jitter does not fail CI while a real slowdown (the
+  fault-injected-sleep drill injects one) cannot hide in it;
+* :func:`compare` is the single comparison both perf references — this
+  ledger floor and the committed budget — go through.
+
+Which figure a benchmark gates on, and which entry fields make a series
+(``dataset`` and ``dtype`` always; ``workers``, ``scorer``, ``chaos``
+where they apply), comes from the spec table in :mod:`repro.bench.perf`.
 """
 
 from __future__ import annotations
@@ -36,65 +39,40 @@ DEFAULT_TOLERANCE = 1.2
 #: Rolling window of history entries the gate and summary consider.
 DEFAULT_WINDOW = 10
 
-#: The measurements gated on (also summarised: the full-step figure).
-KEY_ENCODER = "encoder_seconds_per_step"
-KEY_DECODER = "decoder_seconds_per_step"
-KEY_EVAL = "eval_seconds_per_step"
-KEY_SERVE = "serve_mean_seconds"
-KEY_SCALE = "scale_seconds_per_step"
-KEY_CELL = "cell_seconds_per_step"
+#: The full-step figure every entry carries beside its component figure.
 KEY_FULL = "seconds_per_step"
-
-#: Component-specific timing key per benchmark name.  Eval entries carry
-#: a ``workers`` field; gate comparisons must prefilter on it (the CLI
-#: does) because a 1-worker and an 8-worker run are different series.
-#: Serve entries gate on the *mean* OK-query latency: it is dominated by
-#: micro-batch compute time and repeats within a few percent, whereas
-#: p50/p99 of an open-loop drill are order-statistics of ~100 samples
-#: and swing 1.4x run to run — a gate on them would flake.  The p50/p99
-#: SLO figures still ride along in every entry for trend inspection.
-#: Scale entries (large-vocabulary memmap eval) carry ``entities``,
-#: ``scorer`` and ``workers`` fields; like eval, comparisons must
-#: prefilter on them — different strategies are different series.
-#: Cell entries (fused recurrent-cell micro-benchmark) time one pass of
-#: every encoder recurrence at model shapes; ``seconds_per_step`` is the
-#: same figure so the generic full-step summary stays meaningful.
-COMPONENT_KEYS = {
-    "encoder": KEY_ENCODER,
-    "decoder": KEY_DECODER,
-    "eval": KEY_EVAL,
-    "serve": KEY_SERVE,
-    "scale": KEY_SCALE,
-    "cell": KEY_CELL,
-}
 
 
 class HistoryError(ValueError):
     """A malformed history file or entry."""
 
 
-def component_key(name: str) -> str:
-    """The per-step timing key a named benchmark is gated on."""
-    return COMPONENT_KEYS.get(name, KEY_ENCODER)
+def _spec(name: str):
+    """The benchmark spec called ``name`` (imported late: perf imports this module)."""
+    from repro.bench.perf import get_benchmark
+
+    return get_benchmark(name)
 
 
 def make_entry(result: Dict, name: str = "encoder", extra: Optional[Dict] = None) -> dict:
-    """One history record from a ``benchmark_encoder``/``-decoder`` result."""
-    key = component_key(name)
-    for required in ("dataset", key, KEY_FULL):
+    """One ledger record from a result of benchmark ``name``.
+
+    Carries the gated figure, the full-step figure, and whichever of the
+    spec's series and ride-along fields the result has.
+    """
+    spec = _spec(name)
+    for required in ("dataset", spec.key, KEY_FULL):
         if required not in result:
             raise HistoryError(f"benchmark result lacks required key {required!r}")
     entry = {
         "schema_version": HISTORY_SCHEMA_VERSION,
         "name": name,
         "recorded_at": time.time(),
-        "dataset": result["dataset"],
-        key: float(result[key]),
-        KEY_FULL: float(result[KEY_FULL]),
         "steps": int(result.get("steps", 0)),
     }
-    if "dtype" in result:
-        entry["dtype"] = str(result["dtype"])
+    entry.update({f: result[f] for f in (*spec.series, *spec.extras) if f in result})
+    entry[spec.key] = float(result[spec.key])
+    entry[KEY_FULL] = float(result[KEY_FULL])
     if extra:
         entry.update(extra)
     return entry
@@ -129,21 +107,19 @@ def read_history(path: str) -> List[dict]:
     return entries
 
 
-def _relevant(
-    entries: List[dict], name: str, dataset: Optional[str], key: str
-) -> List[dict]:
+def _relevant(entries: List[dict], name: str, key: str, series: Dict) -> List[dict]:
     return [
         e
         for e in entries
         if e.get("name") == name
         and key in e
-        and (dataset is None or e.get("dataset") == dataset)
+        and all(e.get(field) == value for field, value in series.items())
     ]
 
 
 @dataclass(frozen=True)
 class RegressionVerdict:
-    """Outcome of one gate evaluation."""
+    """Outcome of one gate comparison."""
 
     regressed: bool
     reason: str
@@ -156,59 +132,75 @@ class RegressionVerdict:
         return ("REGRESSION: " if self.regressed else "ok: ") + self.reason
 
 
+def compare(
+    key: str,
+    candidate: float,
+    reference: float,
+    tolerance: float,
+    against: str,
+    window_used: int = 0,
+) -> RegressionVerdict:
+    """The candidate regresses when it exceeds ``reference * tolerance``."""
+    if tolerance <= 1.0:
+        raise HistoryError("tolerance must be > 1.0 (an allowed slowdown factor)")
+    ratio = candidate / reference if reference > 0 else float("inf")
+    return RegressionVerdict(
+        regressed=candidate > reference * tolerance,
+        reason=(
+            f"{key} {candidate:.4g} vs {against} {reference:.4g} "
+            f"(x{ratio:.2f}, tolerance x{tolerance:g})"
+        ),
+        candidate=candidate,
+        baseline=reference,
+        ratio=ratio,
+        window_used=window_used,
+    )
+
+
 def detect_regression(
     entries: List[dict],
     candidate: float,
     name: str = "encoder",
-    dataset: Optional[str] = None,
-    key: str = KEY_ENCODER,
+    key: Optional[str] = None,
     window: int = DEFAULT_WINDOW,
     tolerance: float = DEFAULT_TOLERANCE,
-    min_history: int = 1,
+    **series,
 ) -> RegressionVerdict:
-    """Noise-aware min-of-k gate: candidate vs the rolling noise floor.
+    """Noise-aware min-of-k gate: candidate vs its series' rolling floor.
 
     ``candidate`` should itself be the min over the fresh run's repeats.
-    With fewer than ``min_history`` relevant entries the gate passes
-    (there is nothing sound to compare against — the first CI run seeds
-    the history instead of failing it).
+    ``key`` defaults to the figure benchmark ``name`` gates on, and
+    ``series`` (``dataset=...``, ``dtype=...``, ...) restricts the
+    comparison to entries of the same series.  With no such entry the
+    gate passes: there is nothing sound to compare against, and the
+    first run seeds the history instead of failing it.
     """
+    key = key or _spec(name).key
     if tolerance <= 1.0:
         raise HistoryError("tolerance must be > 1.0 (an allowed slowdown factor)")
-    tail = _relevant(entries, name, dataset, key)[-window:]
-    if len(tail) < min_history:
+    tail = _relevant(entries, name, key, series)[-window:]
+    if not tail:
         return RegressionVerdict(
             regressed=False,
-            reason=f"only {len(tail)} history entr(y/ies), need {min_history}; gate passes",
+            reason=f"no {name} history for series {series}; this run seeds it",
             candidate=candidate,
             baseline=None,
             ratio=None,
-            window_used=len(tail),
+            window_used=0,
         )
-    baseline = min(e[key] for e in tail)
-    ratio = candidate / baseline if baseline > 0 else float("inf")
-    reason = (
-        f"candidate {candidate * 1000:.2f} ms vs min-of-{len(tail)} baseline "
-        f"{baseline * 1000:.2f} ms (x{ratio:.2f}, tolerance x{tolerance:g})"
-    )
-    return RegressionVerdict(
-        regressed=ratio > tolerance,
-        reason=reason,
-        candidate=candidate,
-        baseline=baseline,
-        ratio=ratio,
-        window_used=len(tail),
-    )
+    floor = min(e[key] for e in tail)
+    return compare(key, candidate, floor, tolerance, f"min-of-{len(tail)} ledger floor", len(tail))
 
 
 def summarize_history(
     entries: List[dict], name: str = "encoder", window: int = DEFAULT_WINDOW
 ) -> dict:
-    """Rolling per-dataset summary (the ``BENCH_encoder.json`` payload)."""
-    key = component_key(name)
+    """Rolling per-dataset summary of one component's entries."""
+    key = _spec(name).key
     datasets: Dict[str, dict] = {}
-    for dataset in sorted({e.get("dataset") for e in _relevant(entries, name, None, key)}):
-        relevant = _relevant(entries, name, dataset, key)
+    relevant_all = _relevant(entries, name, key, {})
+    for dataset in sorted({e.get("dataset") for e in relevant_all}):
+        relevant = _relevant(entries, name, key, {"dataset": dataset})
         tail = relevant[-window:]
         component = [e[key] for e in tail]
         full = [e[KEY_FULL] for e in tail if KEY_FULL in e]

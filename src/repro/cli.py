@@ -22,9 +22,10 @@ eval / checkpoint / non-finite skip) that ``report`` reconstructs and
 model and runs the paper's test protocol (optionally with online
 continuous training).  ``diagnose`` decomposes that protocol into
 per-relation / per-timestamp / seen-unseen views with a bounded rank
-histogram.  ``bench`` times the encoder, appends the measurement to a
-``BENCH_history.jsonl`` trajectory and (``--gate``) fails on a
-noise-aware regression against the rolling noise floor.  ``drill`` runs
+histogram.  ``bench`` times one :mod:`repro.bench.perf` component,
+appends the measurement to a ``BENCH_history.jsonl`` trajectory and
+(``--gate``) fails when it exceeds its committed budget
+(``benchmarks/baseline.json``) or the rolling noise floor.  ``drill`` runs
 the fault-injection harness (NaN loss, mid-run kill, checkpoint
 corruption) against a short training run and reports whether the
 runtime recovered.
@@ -285,147 +286,64 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Benchmark a component, append to history, gate on regression."""
+    """Benchmark a component, append to history, gate on every reference."""
     from repro.bench import (
-        benchmark_cell,
-        benchmark_decoder,
-        benchmark_encoder,
-        benchmark_eval,
-        benchmark_scale,
-        component_key,
-        detect_regression,
-        make_entry,
-        append_entry,
+        BenchError,
+        gate,
+        get_benchmark,
         read_history,
+        run_benchmark,
+        update_baseline,
         write_summary,
     )
+    from repro.obs import MetricsRegistry
 
-    component = args.component
-    key = component_key(component)
-    baseline_entries = read_history(args.history) if args.history else []
-    if component == "eval":
-        # A 1-worker and an 8-worker run are different timing series;
-        # the gate must only ever compare like with like.
-        baseline_entries = [
-            e for e in baseline_entries if e.get("workers") == args.eval_workers
-        ]
-    elif component == "serve":
-        # Likewise, a chaos drill and a clean run are different series.
-        baseline_entries = [
-            e for e in baseline_entries if bool(e.get("chaos")) == args.chaos
-        ]
-    elif component == "scale":
-        # Scale entries are a series per (workers, scorer strategy):
-        # a top-k run and a blocked run have different cost shapes.
-        from repro.scale import get_scorer
-
-        strategy = get_scorer(args.scorer or "blocked:128:8192")
-        scale_spec = strategy.spec() if strategy is not None else "dense"
-        baseline_entries = [
-            e
-            for e in baseline_entries
-            if e.get("workers") == args.eval_workers and e.get("scorer") == scale_spec
-        ]
+    spec = get_benchmark(args.component)
+    entries = read_history(args.history) if args.history else None
+    registry = MetricsRegistry()
     results = []
     for repeat in range(args.repeats):
-        if component == "serve":
-            from repro.serve import benchmark_serve
-
-            result = benchmark_serve(
-                args.dataset,
-                chaos=args.chaos,
-                seed=args.seed,
-                dtype=args.dtype,
-            )
-        elif component == "decoder":
-            result = benchmark_decoder(
-                args.dataset,
-                warm_cache=args.warm_cache,
-                seed=args.seed,
-                dtype=args.dtype,
-                per_step_sleep=args.inject_sleep_ms / 1000.0,
-            )
-        elif component == "cell":
-            result = benchmark_cell(
-                args.dataset,
-                seed=args.seed,
-                dtype=args.dtype,
-                per_step_sleep=args.inject_sleep_ms / 1000.0,
-            )
-        elif component == "eval":
-            result = benchmark_eval(
-                args.dataset,
-                workers=args.eval_workers,
-                seed=args.seed,
-                dtype=args.dtype,
-                per_step_sleep=args.inject_sleep_ms / 1000.0,
-            )
-        elif component == "scale":
-            result = benchmark_scale(
-                args.dataset,
-                workers=args.eval_workers,
-                seed=args.seed,
-                dtype=args.dtype,
-                scorer=args.scorer or "blocked:128:8192",
-            )
-        else:
-            result = benchmark_encoder(
-                args.dataset,
-                warm_cache=args.warm_cache,
-                seed=args.seed,
-                dtype=args.dtype,
-                per_step_sleep=args.inject_sleep_ms / 1000.0,
-            )
-        results.append(result)
-        print(
-            f"repeat {repeat + 1}/{args.repeats}: "
-            f"{component} {result[key] * 1000:.2f} ms/step, "
-            f"full step {result['seconds_per_step'] * 1000:.2f} ms/step"
+        result = run_benchmark(
+            spec.name,
+            args.dataset,
+            seed=args.seed,
+            dtype=args.dtype,
+            registry=registry,
+            history=None if args.dry_run else args.history,
+            warm_cache=args.warm_cache,
+            workers=args.eval_workers,
+            scorer=args.scorer,
+            chaos=args.chaos,
+            per_step_sleep=args.inject_sleep_ms / 1000.0,
         )
-    candidate = min(r[key] for r in results)
-    verdict = detect_regression(
-        baseline_entries,
-        candidate,
-        name=component,
-        dataset=args.dataset,
-        key=key,
-        window=args.window,
-        tolerance=args.tolerance,
-    )
-    print(verdict)
+        results.append(result)
+        keys = dict.fromkeys((spec.key, "seconds_per_step", *spec.budget))
+        figures = ", ".join(f"{key} {result[key]:.4g}" for key in keys)
+        print(f"repeat {repeat + 1}/{args.repeats}: {spec.name} {figures}")
+    if args.update_baseline:
+        try:
+            committed = update_baseline(spec, results)
+        except BenchError as exc:
+            print(f"FAIL: {exc}", file=sys.stderr)
+            return 1
+        print(f"baseline updated: {spec.name} {committed}")
+    verdicts = gate(spec, results, entries, registry=registry)
+    for verdict in verdicts:
+        print(verdict)
+    if args.metrics_out:
+        with open(args.metrics_out, "w", encoding="utf-8") as fh:
+            fh.write(registry.to_json() + "\n")
+        print(f"metrics written to {args.metrics_out}")
     if args.history and not args.dry_run:
-        for result in results:
-            extra = {}
-            if args.inject_sleep_ms:
-                extra["injected_sleep"] = args.inject_sleep_ms / 1000.0
-            if component == "eval":
-                extra["workers"] = result["workers"]
-                extra["cpus"] = result["cpus"]
-            elif component == "scale":
-                for field in ("workers", "cpus", "entities", "scorer", "spill", "peak_rss_mb"):
-                    extra[field] = result[field]
-            elif component == "cell":
-                extra["reference_seconds_per_step"] = result["reference_seconds_per_step"]
-                extra["speedup"] = result["speedup"]
-            elif component == "serve":
-                extra["chaos"] = result["chaos"]
-                extra["offered_qps"] = result["offered_qps"]
-                extra["qps"] = result["qps"]
-                extra["availability"] = result["availability"]
-                extra["shed_rate"] = result["shed_rate"]
-                extra["serve_p50_seconds"] = result["serve_p50_seconds"]
-                extra["serve_p99_seconds"] = result["serve_p99_seconds"]
-            append_entry(
-                args.history,
-                make_entry(result, name=component, extra=extra or None),
-            )
         entries = read_history(args.history)
         if args.summary:
-            write_summary(args.summary, entries, name=component, window=args.window)
+            write_summary(args.summary, entries, name=spec.name)
             print(f"summary written to {args.summary}")
-        print(f"{len(results)} entr{'y' if len(results) == 1 else 'ies'} appended "
-              f"to {args.history} ({len(entries)} total)")
-    if args.gate and verdict.regressed:
+        print(
+            f"{len(results)} entr{'y' if len(results) == 1 else 'ies'} appended "
+            f"to {args.history} ({len(entries)} total)"
+        )
+    if args.gate and any(v.regressed for v in verdicts):
         return 1
     return 0
 
@@ -579,7 +497,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import time
     from contextlib import ExitStack
 
-    from repro.bench.runner import BENCH_PROFILES, bench_dataset, build_retia_config
+    from repro.bench.runner import revealed_model
     from repro.core.trainer import OnlineAdapter
     from repro.obs import MetricsRegistry, TelemetrySink, tracing
     from repro.resilience import GracefulInterrupt
@@ -589,19 +507,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ModelServer,
         ServeConfig,
         default_chaos_plan,
-        record_serve_metrics,
         run_loadgen,
         summarize_responses,
     )
     from repro.serve.loadgen import build_plans_traced
 
-    dataset = bench_dataset(args.dataset)
-    profile = BENCH_PROFILES[args.dataset]
-    model = RETIA(build_retia_config(dataset, profile, seed=args.seed, dtype=args.dtype))
-    model.set_history(dataset.train)
-    for t in dataset.valid.timestamps:
-        model.record_snapshot(dataset.valid.snapshot(int(t)))
-    model.eval()
+    dataset, model = revealed_model(args.dataset, seed=args.seed, dtype=args.dtype)
     adapter = OnlineAdapter(
         model, TrainerConfig(online_steps=1, online_lr=1e-3, seed=args.seed)
     )
@@ -764,9 +675,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if summary is None:
         print("no responses recorded", file=sys.stderr)
         return 1
-    record_serve_metrics(
-        registry, {"dataset": args.dataset, "chaos": args.chaos, **summary}
-    )
     print(
         f"requests: {summary['requests']}  ok: {summary['ok']}  "
         f"shed: {summary['shed']}  deadline: {summary['deadline_exceeded']}  "
@@ -1041,20 +949,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     diagnose.set_defaults(handler=cmd_diagnose)
 
+    from repro.bench.perf import BENCHMARKS
+
     bench = commands.add_parser(
-        "bench", help="benchmark a component and gate against recorded history"
+        "bench", help="benchmark a component and gate against its budget and history"
     )
     _add_dataset_argument(bench)
     bench.add_argument(
         "--component",
-        choices=("encoder", "decoder", "eval", "serve", "scale", "cell"),
+        choices=sorted(BENCHMARKS),
         default="encoder",
-        help="which component to time and gate on (eval: the full "
-        "sharded evaluation protocol at --eval-workers; serve: the "
-        "loadgen drill against the model server, gated on p99 latency; "
-        "scale: large-vocabulary memmap eval through the candidate "
-        "scorer seam — pair with --dataset ICEWS-SCALE; cell: the "
-        "fused recurrent-cell micro-benchmark at model shapes)",
+        help="which repro.bench.perf benchmark to time and gate on (eval: the "
+        "full sharded evaluation protocol at --eval-workers; serve: the "
+        "loadgen drill against the model server; scale: large-vocabulary "
+        "memmap eval through the candidate scorer seam, pair with --dataset "
+        "ICEWS-SCALE; cell: the fused recurrent-cell micro-benchmark)",
     )
     bench.add_argument(
         "--warm-cache",
@@ -1073,41 +982,45 @@ def build_parser() -> argparse.ArgumentParser:
         "--chaos",
         action="store_true",
         help="arm the fault plan for --component serve (chaos and clean "
-        "runs are gated as separate history series)",
+        "runs are separate series)",
     )
     bench.add_argument(
         "--eval-workers",
         type=int,
         default=1,
-        help="worker count for --component eval; history gating only "
-        "compares entries recorded at the same worker count",
+        help="worker count for --component eval/scale (each worker count "
+        "is its own series)",
     )
     bench.add_argument(
         "--dtype",
         choices=("float32", "float64"),
         default="float64",
-        help="precision policy the benchmarked model runs under",
+        help="precision policy the benchmarked model runs under (each "
+        "dtype is its own series)",
     )
     bench.add_argument("--repeats", type=int, default=3, help="timed repeats (min-of-k)")
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--history", help="BENCH_history.jsonl trajectory to read/append")
-    bench.add_argument("--summary", help="also write a rolling BENCH_encoder.json here")
+    bench.add_argument("--summary", help="also write a rolling per-component summary here")
     bench.add_argument(
         "--gate",
         action="store_true",
-        help="exit 1 when the candidate regresses past the rolling noise floor",
+        help="exit 1 when the candidate exceeds its committed budget in "
+        "benchmarks/baseline.json or the --history noise floor",
     )
     bench.add_argument(
-        "--tolerance", type=float, default=1.2, help="allowed slowdown factor"
+        "--update-baseline",
+        action="store_true",
+        help="write the measured budget figures back to benchmarks/baseline.json",
     )
     bench.add_argument(
-        "--window", type=int, default=10, help="history entries the gate considers"
+        "--metrics-out", help="write the measurement as MetricsRegistry JSON to this path"
     )
     bench.add_argument(
         "--inject-sleep-ms",
         type=float,
         default=0.0,
-        help="inject a per-step sleep (CI drill proving the gate fires)",
+        help="inject a per-step sleep (the drill proving the gates fire)",
     )
     bench.add_argument(
         "--dry-run",

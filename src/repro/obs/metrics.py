@@ -2,9 +2,9 @@
 
 A :class:`MetricsRegistry` owns named metrics; each metric owns labeled
 series (a Prometheus-style data model without the wire format).  The
-registry serialises to a stable JSON structure consumed by
-``scripts/check_encoder_budget.py``, ``scripts/check_run_health.py`` and
-the CI artifact uploads:
+registry serialises to a stable JSON structure — what
+``repro.cli bench --metrics-out`` writes and ``scripts/check_run_health.py``
+and the CI artifact uploads consume:
 
     registry = MetricsRegistry()
     batches = registry.counter("batches_total", help="optimizer steps")

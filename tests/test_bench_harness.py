@@ -1,7 +1,9 @@
 """Lightweight tests for the benchmark harness (no model training)."""
 
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.bench import BENCH_PROFILES, DEFAULT_METHODS, format_table
@@ -158,3 +160,191 @@ class TestBenchHistory:
         assert stats["min"] == 0.010
         assert stats["last"] == 0.020
         assert on_disk["datasets"]["YAGO"]["entries"] == 1
+
+
+class TestUnknownBenchmark:
+    def test_unknown_name_raises_instead_of_gating_on_the_encoder_key(self):
+        from repro.bench import BenchError, get_benchmark
+
+        result = dict(_result(), nope_seconds_per_step=0.01)
+        with pytest.raises(BenchError, match="unknown benchmark 'nope'"):
+            get_benchmark("nope")
+        with pytest.raises(BenchError):
+            make_entry(result, name="nope")
+        with pytest.raises(BenchError):
+            detect_regression([make_entry(_result())], candidate=0.5, name="nope")
+        with pytest.raises(BenchError):
+            summarize_history([make_entry(_result())], name="nope")
+
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _fake_measure(dataset_name, seed=0, dtype="float64", per_step_sleep=0.0):
+    """Stand-in measurement: the figures are whatever the test sets."""
+    wall = FAKE["wall"] + per_step_sleep
+    return {
+        "dataset": dataset_name,
+        "dtype": dtype,
+        "steps": 3,
+        "cell_seconds_per_step": wall,
+        "seconds_per_step": wall,
+        "peak_rss_mb": FAKE["rss"],
+    }
+
+
+FAKE = {"wall": 0.01, "rss": 100.0}
+
+
+class TestOneGate:
+    """The CLI gate over a millisecond stand-in for the ``cell`` spec."""
+
+    @pytest.fixture
+    def bench(self, tmp_path, monkeypatch, capsys):
+        from repro.bench import BENCHMARKS, Benchmark, perf
+        from repro.cli import main
+
+        spec = Benchmark(
+            name="cell",
+            measure=_fake_measure,
+            key="cell_seconds_per_step",
+            series=("dataset", "dtype"),
+            extras=("peak_rss_mb",),
+            gauges=(("cell_seconds_per_step", "cell_seconds_per_step", "fake"),),
+            budget={"cell_seconds_per_step": 3.0, "peak_rss_mb": 1.5},
+            options=("per_step_sleep",),
+        )
+        monkeypatch.setitem(BENCHMARKS, "cell", spec)
+        baseline = tmp_path / "baseline.json"
+        monkeypatch.setattr(perf, "BASELINE_PATH", baseline)
+        monkeypatch.setitem(FAKE, "wall", 0.01)
+        monkeypatch.setitem(FAKE, "rss", 100.0)
+        committed = {
+            "dataset": "ICEWS14",
+            "dtype": "float32",
+            "cell_seconds_per_step": 0.01,
+            "peak_rss_mb": 100.0,
+            "notes": "hand-written budget",
+        }
+        baseline.write_text(json.dumps({"cell": committed}))
+
+        def run(*flags):
+            argv = ["bench", "--dataset", "ICEWS14", "--component", "cell"]
+            argv += ["--dtype", "float32", "--repeats", "1", *flags]
+            code = main(argv)
+            return code, capsys.readouterr().out
+
+        run.baseline = baseline
+        run.history = str(tmp_path / "hist.jsonl")
+        return run
+
+    def test_exactly_at_budget_passes_and_just_over_fails(self, bench):
+        FAKE["wall"] = 0.01 * 3.0
+        code, out = bench("--gate")
+        assert code == 0, out
+        FAKE["wall"] = float(np.nextafter(0.01 * 3.0, 1.0))
+        code, out = bench("--gate")
+        assert code == 1
+        assert "REGRESSION: cell_seconds_per_step" in out
+
+    def test_each_figure_has_its_own_tolerance(self, bench):
+        # 1.6x RSS fails under its x1.5 tolerance although the wall
+        # figure's x3.0 would have let it through.
+        FAKE["wall"], FAKE["rss"] = 0.029, 160.0
+        code, out = bench("--gate")
+        assert code == 1
+        assert "ok: cell_seconds_per_step" in out
+        assert "REGRESSION: peak_rss_mb 160 vs committed budget 100" in out
+
+    @pytest.mark.parametrize(
+        "content",
+        [None, "{not json", json.dumps({"cell": {"dataset": "ICEWS14", "dtype": "float32"}})],
+        ids=["missing", "unreadable", "missing-key"],
+    )
+    def test_unusable_baseline_is_a_hard_failure(self, bench, content):
+        if content is None:
+            bench.baseline.unlink()
+        else:
+            bench.baseline.write_text(content)
+        code, out = bench("--gate")
+        assert code == 1
+        assert "REGRESSION: no usable budget" in out
+
+    def test_update_baseline_rewrites_only_the_measured_figures(self, bench):
+        FAKE["wall"], FAKE["rss"] = 0.02, 120.0
+        code, _ = bench("--update-baseline")
+        assert code == 0
+        committed = json.loads(bench.baseline.read_text())["cell"]
+        assert committed == {
+            "dataset": "ICEWS14",
+            "dtype": "float32",
+            "cell_seconds_per_step": 0.02,
+            "peak_rss_mb": 120.0,
+            "notes": "hand-written budget",
+        }
+
+    def test_update_baseline_refuses_another_series(self, bench):
+        code, _ = bench("--update-baseline", "--dataset", "YAGO")
+        assert code == 1
+        assert json.loads(bench.baseline.read_text())["cell"]["dataset"] == "ICEWS14"
+
+    def test_injected_sleep_fires_the_budget_and_the_ledger_check(self, bench):
+        assert bench("--history", bench.history, "--gate")[0] == 0
+        code, out = bench(
+            "--history", bench.history, "--gate", "--inject-sleep-ms", "100", "--dry-run"
+        )
+        assert code == 1
+        assert "REGRESSION: cell_seconds_per_step 0.11 vs committed budget" in out
+        assert "REGRESSION: cell_seconds_per_step 0.11 vs min-of-1 ledger floor" in out
+        assert len(read_history(bench.history)) == 1
+
+    def test_other_dtype_is_never_compared(self, bench):
+        # A float64 floor far below the candidate must not judge a
+        # float32 run: no history for its series, so it seeds.
+        for _ in range(3):
+            append_entry(
+                bench.history,
+                make_entry(
+                    dict(_fake_measure("ICEWS14", dtype="float64"), cell_seconds_per_step=1e-9),
+                    name="cell",
+                ),
+            )
+        code, out = bench("--history", bench.history, "--gate", "--dry-run")
+        assert code == 0, out
+        assert "no cell history for series" in out
+        assert "'dtype': 'float32'" in out
+        assert "ledger floor" not in out
+
+    def test_float32_candidate_seeds_against_float64_only_history(self):
+        entries = [make_entry(dict(_result(0.001), dtype="float64"))]
+        verdict = detect_regression(entries, 0.5, dataset="ICEWS14", dtype="float32")
+        assert not verdict.regressed
+        assert verdict.baseline is None and verdict.window_used == 0
+        assert "seeds" in verdict.reason
+
+
+def test_committed_history_parses_and_summarises_per_component():
+    from repro.bench import BENCHMARKS
+
+    entries = read_history(str(REPO_ROOT / "BENCH_history.jsonl"))
+    names = {e["name"] for e in entries}
+    assert names and names <= set(BENCHMARKS)
+    for name in names:
+        summary = summarize_history(entries, name=name)
+        key = BENCHMARKS[name].key
+        assert summary["datasets"], name
+        for stats in summary["datasets"].values():
+            assert 0 < stats[key]["min"] <= stats[key]["median"]
+            assert stats["window_entries"] >= 1
+
+
+def test_real_cell_benchmark_through_the_cli(tmp_path, capsys):
+    from repro.cli import main
+
+    history = tmp_path / "hist.jsonl"
+    argv = ["bench", "--dataset", "ICEWS14", "--component", "cell", "--repeats", "1"]
+    assert main(argv + ["--history", str(history), "--gate"]) == 0
+    (entry,) = read_history(str(history))
+    assert entry["name"] == "cell" and entry["dtype"] == "float64"
+    assert entry["cell_seconds_per_step"] > 0 and entry["speedup"] > 0
+    assert "this run seeds it" in capsys.readouterr().out

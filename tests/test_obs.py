@@ -277,18 +277,6 @@ class TestSpans:
         assert seen["span"] is None
         assert [s.name for s in collector.spans] == ["mine"]
 
-    def test_timing_shim_reexports_tracing_with_deprecation_warning(self):
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.timing", None)
-        with pytest.warns(DeprecationWarning, match="repro.obs.tracing"):
-            timing = importlib.import_module("repro.timing")
-
-        assert timing.PhaseTimer is PhaseTimer
-        assert timing.span is span
-        assert timing.phase is span
-
 
 # ----------------------------------------------------------------------
 # Run reports
