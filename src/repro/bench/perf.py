@@ -441,6 +441,7 @@ def measure_serve(
     seed: int = 0,
     dtype: str = "float64",
     chaos: bool = False,
+    per_step_sleep: float = 0.0,
     registry: Optional[MetricsRegistry] = None,
 ) -> Dict:
     """Boot a server on an untrained revealed model, run the loadgen, drain.
@@ -448,12 +449,15 @@ def measure_serve(
     Serving cost depends on history shape and embedding sizes, not
     parameter values (as for :func:`measure_eval`).  ``chaos=True`` arms
     :func:`~repro.serve.default_chaos_plan` and, after the workload,
-    demonstrates half-open recovery.  The result carries the SLO
-    figures — p50/p99/mean OK-query latency, achieved QPS, shed rate,
-    availability — from :func:`~repro.serve.summarize_responses`.
+    demonstrates half-open recovery; ``per_step_sleep`` stalls every
+    decoder micro-batch through the fault plan's slow-batch hook.  The
+    result carries the SLO figures — p50/p99/mean OK-query latency,
+    achieved QPS, shed rate, availability — from
+    :func:`~repro.serve.summarize_responses`.
     """
     from repro.core import TrainerConfig
     from repro.core.trainer import OnlineAdapter
+    from repro.resilience import ServeFaultInjector
     from repro.serve import (
         STATE_CLOSED,
         LoadgenConfig,
@@ -467,10 +471,13 @@ def measure_serve(
     dataset, model = revealed_model(dataset_name, seed=seed, dtype=dtype)
     adapter = OnlineAdapter(model, TrainerConfig(online_steps=1, online_lr=1e-3, seed=seed))
     fault_injector = default_chaos_plan() if chaos else None
+    if per_step_sleep > 0:
+        fault_injector = fault_injector or ServeFaultInjector()
+        fault_injector.slow_batch_every = 1
+        fault_injector.slow_batch_seconds = per_step_sleep
     config = ServeConfig(
         max_batch=32,
         max_queue=128,
-        batch_wait_ms=1.0,
         default_deadline_ms=500.0,
         refresh_attempts=3,
         refresh_backoff_ms=5.0,
@@ -666,7 +673,7 @@ BENCHMARKS: Dict[str, Benchmark] = {
                 ("serve_availability", "availability", "OK responses over non-shed requests"),
                 ("serve_shed_rate", "shed_rate", "shed responses over all requests"),
             ),
-            options=("chaos", "registry"),
+            options=("chaos", "per_step_sleep", "registry"),
         ),
     )
 }

@@ -299,6 +299,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from repro.obs import MetricsRegistry
 
     spec = get_benchmark(args.component)
+    # Refuse a flag the component would drop (every spec takes the sleep).
+    given = {
+        "--warm-cache": ("warm_cache", args.warm_cache),
+        "--scorer": ("scorer", args.scorer is not None),
+        "--chaos": ("chaos", args.chaos),
+        "--eval-workers": ("workers", args.eval_workers != 1),
+    }
+    unused = [
+        flag for flag, (option, is_set) in given.items() if is_set and option not in spec.options
+    ]
+    if unused:
+        print(f"FAIL: --component {spec.name} does not take {', '.join(unused)}", file=sys.stderr)
+        return 2
     entries = read_history(args.history) if args.history else None
     registry = MetricsRegistry()
     results = []
@@ -536,7 +549,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     config = ServeConfig(
         max_batch=32,
         max_queue=128,
-        batch_wait_ms=1.0,
         default_deadline_ms=args.deadline_ms,
         refresh_attempts=3,
         refresh_backoff_ms=5.0,

@@ -1,11 +1,13 @@
-"""Micro-batching with per-request deadlines and bounded admission.
+"""Work-conserving micro-batching with per-request deadlines and bounded admission.
 
-Concurrent ``score``/``topk`` requests are coalesced into one batched
-decoder pass (`ConvTransE.probabilities_multi` via the model's batched
-decode path): the batcher thread drains up to ``max_batch`` pending
-requests, concatenates their query rows into a single ``(B, 2)`` array,
-runs the scorer once, and splits the ``(B, C)`` result back per
-request.
+The batcher thread never idles while a request is queued: it takes up
+to ``max_batch`` pending requests the moment the decoder is free,
+concatenates their query rows into one ``(B, 2)`` array, runs the
+scorer once (`ConvTransE.probabilities_multi` via the model's batched
+decode path) and splits the ``(B, C)`` result back per request.  A lone
+read is decoded at once; reads that arrive during a decode are taken
+together when it returns.  Batches grow with load by themselves, so
+there is no coalescing timer to tune.
 
 The degradation ladder lives here:
 
@@ -95,7 +97,6 @@ class MicroBatcher:
         scorer: Callable[[np.ndarray], np.ndarray],
         max_batch: int = 64,
         max_queue: int = 256,
-        max_wait: float = 0.002,
         clock: Callable[[], float] = time.monotonic,
         on_shed: Optional[Callable[[ServeRequest, str], None]] = None,
         on_batch: Optional[Callable[[int, float], None]] = None,
@@ -107,7 +108,6 @@ class MicroBatcher:
         self.scorer = scorer
         self.max_batch = max_batch
         self.max_queue = max_queue
-        self.max_wait = max_wait
         self.clock = clock
         self.on_shed = on_shed
         self.on_batch = on_batch
@@ -116,9 +116,6 @@ class MicroBatcher:
         self._wakeup = threading.Condition(self._lock)
         self._closing = False
         self._stopped = threading.Event()
-        self.submitted = 0
-        self.shed = 0
-        self.batches = 0
         self._thread = threading.Thread(
             target=self._run, name="repro-serve-batcher", daemon=True
         )
@@ -140,9 +137,7 @@ class MicroBatcher:
                 raise Shed(SHED_DRAINING)
             if len(self._queue) >= self.max_queue:
                 shed_request = self._queue.popleft()
-                self.shed += 1
             self._queue.append(request)
-            self.submitted += 1
             self._wakeup.notify()
         if shed_request is not None:
             shed_request.fail(Shed(SHED_QUEUE_FULL))
@@ -158,25 +153,14 @@ class MicroBatcher:
     # Batching loop
     # ------------------------------------------------------------------
     def _take_batch(self) -> Optional[List[ServeRequest]]:
-        """Block until work (or close); return up to ``max_batch`` requests."""
+        """Block until work (or close); take up to ``max_batch`` at once."""
         with self._lock:
             while not self._queue and not self._closing:
                 self._wakeup.wait(timeout=0.05)
             if not self._queue:
                 return None  # closing and drained
-            batch = []
-            # Once something is queued, wait up to max_wait for companions
-            # so concurrent callers actually coalesce.
-            if len(self._queue) < self.max_batch and self.max_wait > 0:
-                deadline = self.clock() + self.max_wait
-                while len(self._queue) < self.max_batch and not self._closing:
-                    remaining = deadline - self.clock()
-                    if remaining <= 0:
-                        break
-                    self._wakeup.wait(timeout=remaining)
-            while self._queue and len(batch) < self.max_batch:
-                batch.append(self._queue.popleft())
-            return batch
+            take = min(len(self._queue), self.max_batch)
+            return [self._queue.popleft() for _ in range(take)]
 
     def _run(self) -> None:
         try:
@@ -217,7 +201,6 @@ class MicroBatcher:
                 request.fail(exc)
             return
         seconds = self.clock() - start
-        self.batches += 1
         if self.on_batch is not None:
             self.on_batch(len(live), seconds)
         offset = 0

@@ -37,6 +37,7 @@ explained, staleness monotone between refreshes).
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from collections import deque
@@ -82,7 +83,6 @@ class ServeConfig:
 
     max_batch: int = 64
     max_queue: int = 256
-    batch_wait_ms: float = 2.0
     default_deadline_ms: float = 1000.0
     #: refresh supervision: attempts per cycle, then degrade-to-stale.
     refresh_attempts: int = 3
@@ -167,7 +167,6 @@ class _Counters:
     errors: int = 0
     invalid: int = 0
     ingests: int = 0
-    ingests_refused: int = 0
     by_status: dict = field(default_factory=dict)
 
 
@@ -206,8 +205,9 @@ class ModelServer:
         self._rng = np.random.default_rng(config.seed)
         self._version = 0
         self._batch_index = 0
-        self._request_index = 0
-        self._ingest_index = 0
+        #: ``next`` on a count is atomic: no two callers share an index.
+        self._request_indices = itertools.count()
+        self._ingest_indices = itertools.count()
         self._refresh_attempt_index = 0
         self._draining = False
         self._drained = False
@@ -416,7 +416,6 @@ class ModelServer:
             scorer=self._score_batch,
             max_batch=self.config.max_batch,
             max_queue=self.config.max_queue,
-            max_wait=self.config.batch_wait_ms / 1000.0,
             clock=self.clock,
             on_shed=self._on_batcher_shed,
             on_batch=self._on_batch_done,
@@ -503,8 +502,7 @@ class ModelServer:
         self, kind: str, queries: np.ndarray, deadline_ms: Optional[float]
     ) -> ServeResponse:
         started = self.clock()
-        request_index = self._request_index
-        self._request_index += 1
+        request_index = next(self._request_indices)
         if self.batcher is None or self._draining:
             self._emit_shed(kind, "draining")
             return self._refusal(kind, STATUS_UNAVAILABLE, "server is draining")
@@ -666,11 +664,10 @@ class ModelServer:
         failure), refused (``503``, breaker open or draining).
         """
         started = self.clock()
-        index = self._ingest_index
-        self._ingest_index += 1
-        self.counters.ingests += 1
+        index = next(self._ingest_indices)
+        with self._report_lock:
+            self.counters.ingests += 1
         if self._draining or self.batcher is None:
-            self.counters.ingests_refused += 1
             self._emit_shed("ingest", "draining")
             return self._refusal(
                 "ingest", STATUS_UNAVAILABLE, "server is draining",
@@ -689,7 +686,6 @@ class ModelServer:
             # trip the breaker, and an interleaved success could reset
             # the consecutive-failure count mid-poison-run.
             if not self.breaker.allow():
-                self.counters.ingests_refused += 1
                 self._emit_shed("ingest", "breaker_open")
                 return self._refusal(
                     "ingest", STATUS_UNAVAILABLE,

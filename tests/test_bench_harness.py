@@ -348,3 +348,45 @@ def test_real_cell_benchmark_through_the_cli(tmp_path, capsys):
     assert entry["name"] == "cell" and entry["dtype"] == "float64"
     assert entry["cell_seconds_per_step"] > 0 and entry["speedup"] > 0
     assert "this run seeds it" in capsys.readouterr().out
+
+
+class TestFlagsReachTheComponent:
+    """No ``bench`` flag is silently dropped by the chosen component."""
+
+    def test_every_benchmark_takes_the_injected_sleep(self):
+        from repro.bench import BENCHMARKS
+
+        assert all("per_step_sleep" in spec.options for spec in BENCHMARKS.values())
+
+    def test_injected_sleep_stalls_every_serve_decode(self):
+        from repro.bench.perf import measure_serve
+
+        result = measure_serve("ICEWS14", per_step_sleep=0.005)
+        assert result["faults"]["stalls_injected"] > 0
+        assert result["faults"]["refresh_failures_injected"] == 0  # not the chaos plan
+        assert result["serve_p50_seconds"] >= 0.005
+
+    @pytest.mark.parametrize(
+        "component, flags",
+        [
+            ("serve", ["--scorer", "blocked:7:40"]),
+            ("serve", ["--eval-workers", "2"]),
+            ("serve", ["--warm-cache"]),
+            ("cell", ["--chaos"]),
+            ("eval", ["--chaos", "--warm-cache"]),
+        ],
+    )
+    def test_flag_the_component_does_not_take_is_refused(
+        self, component, flags, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        history = tmp_path / "hist.jsonl"
+        argv = ["bench", "--dataset", "ICEWS14", "--component", component, "--repeats", "1"]
+        assert main(argv + ["--history", str(history), "--gate", *flags]) == 2
+        err = capsys.readouterr().err
+        assert f"--component {component} does not take" in err
+        for flag in flags:
+            if flag.startswith("--"):
+                assert flag in err
+        assert not history.exists()  # refused before measuring

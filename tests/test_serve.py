@@ -109,7 +109,6 @@ def make_server(splits, reporter=None, fault_injector=None, **overrides):
     knobs = dict(
         max_batch=8,
         max_queue=16,
-        batch_wait_ms=0.5,
         default_deadline_ms=2000.0,
         refresh_attempts=3,
         refresh_backoff_ms=1.0,
@@ -242,7 +241,7 @@ class TestMicroBatcher:
             calls.append(len(rows))
             return identity_scorer(rows)
 
-        batcher = MicroBatcher(scorer, max_batch=8, max_wait=0.05)
+        batcher = MicroBatcher(scorer, max_batch=8)
         try:
             requests = [
                 ServeRequest(
@@ -259,12 +258,55 @@ class TestMicroBatcher:
         finally:
             assert batcher.close(timeout=5.0)
 
+    def test_lone_request_dispatches_without_waiting_on_the_clock(self):
+        # A frozen clock never lets a timed coalescing wait expire; a
+        # work-conserving batcher decodes a lone request at once.
+        batcher = MicroBatcher(identity_scorer, clock=lambda: 0.0)
+        try:
+            request = ServeRequest(np.array([[4, 2]]), deadline=None, now=0.0)
+            batcher.submit(request)
+            assert request.wait(timeout=5.0)
+            np.testing.assert_array_equal(request.result, [[4, 2]])
+            assert request.batch_size == 1
+        finally:
+            assert batcher.close(timeout=5.0)
+
+    def test_backlog_built_during_a_decode_is_taken_in_max_batch_chunks(self):
+        entered, release = threading.Event(), threading.Event()
+        calls = []
+
+        def scorer(rows):
+            calls.append(len(rows))
+            entered.set()
+            release.wait(timeout=10.0)
+            return identity_scorer(rows)
+
+        batcher = MicroBatcher(scorer, max_batch=4)
+        try:
+            blocker = ServeRequest(np.array([[9, 9]]), None, now=time.monotonic())
+            batcher.submit(blocker)
+            assert entered.wait(timeout=5.0)
+            requests = [
+                ServeRequest(np.array([[i, 10 + i]]), None, now=time.monotonic())
+                for i in range(6)
+            ]
+            for request in requests:
+                batcher.submit(request)
+            release.set()
+            for i, request in enumerate(requests):
+                assert request.wait(timeout=5.0)
+                np.testing.assert_array_equal(request.result, [[i, 10 + i]])
+            assert calls == [1, 4, 2]
+            assert [r.batch_size for r in requests] == [4, 4, 4, 4, 2, 2]
+        finally:
+            release.set()
+            assert batcher.close(timeout=5.0)
+
     def test_expired_request_rejected_before_compute(self):
         scored = []
         sheds = []
         batcher = MicroBatcher(
             lambda rows: (scored.append(len(rows)), identity_scorer(rows))[1],
-            max_wait=0.0,
             on_shed=lambda request, reason: sheds.append(reason),
         )
         try:
@@ -293,7 +335,6 @@ class TestMicroBatcher:
             blocked_scorer,
             max_batch=1,
             max_queue=1,
-            max_wait=0.0,
             on_shed=lambda request, reason: sheds.append(reason),
         )
         try:
@@ -328,7 +369,7 @@ class TestMicroBatcher:
                 raise ValueError("decoder blew up")
             return identity_scorer(rows)
 
-        batcher = MicroBatcher(scorer, max_wait=0.0)
+        batcher = MicroBatcher(scorer)
         try:
             doomed = ServeRequest(np.array([[0, 0]]), None, now=time.monotonic())
             batcher.submit(doomed)

@@ -17,6 +17,8 @@ Three pillars under test:
 import importlib.util
 import json
 import pickle
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -92,7 +94,6 @@ def make_server(splits, reporter=None, **overrides):
     knobs = dict(
         max_batch=8,
         max_queue=16,
-        batch_wait_ms=0.5,
         default_deadline_ms=2000.0,
         refresh_attempts=3,
         refresh_backoff_ms=1.0,
@@ -216,6 +217,37 @@ class TestServeExemplars:
         indices = [ex["request_index"] for ex in server.exemplars()]
         assert indices == [i for i in indices if i % 4 == 0]
         assert len(indices) >= 2
+
+    def test_concurrent_callers_draw_distinct_request_indices(self, splits):
+        # A read-then-increment index lets two threads share an index,
+        # double-sampling one exemplar and skipping another.
+        import numpy as np
+
+        threads, per_thread = 8, 20
+        requests = threads * per_thread
+        server = make_server(splits, exemplar_every=1, exemplar_capacity=requests)
+        _, _, test = splits
+        server.start(ts=int(test.timestamps[0]))
+        queries = np.array([[0, 0]], dtype=np.int64)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # force thread switches mid-call
+        try:
+            workers = [
+                threading.Thread(
+                    target=lambda: [server.score(queries) for _ in range(per_thread)]
+                )
+                for _ in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60.0)
+            assert not any(worker.is_alive() for worker in workers)
+        finally:
+            sys.setswitchinterval(interval)
+            server.drain()
+        indices = sorted(ex["request_index"] for ex in server.exemplars())
+        assert indices == list(range(requests))
 
     def test_capacity_bounds_the_ring(self, splits):
         server = make_server(splits, exemplar_every=1, exemplar_capacity=3)
