@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.autograd import DtypePolicy, Tensor, no_grad, resolve_dtype
+from repro.autograd import DtypePolicy, Tensor, resolve_dtype
 from repro.autograd import functional as F
 from repro.core.decoder import ConvTransE
 from repro.core.eam import EntityAggregationModule
@@ -46,6 +46,7 @@ from repro.graph import (
 )
 from repro.nn import Module, Parameter, init, losses
 from repro.obs import tracing
+from repro.scale import snapshot as frozen_window
 from repro.utils import l2_normalize_rows, seeded_rng
 
 RELATION_MODES = ("none", "mp", "mp_lstm", "full")
@@ -190,7 +191,7 @@ class RETIA(Module):
         # type-sorted edge views) survives parameter updates, so it lives
         # in a content-keyed cache rather than the per-step graph.
         self.snapshot_cache = SnapshotCache()
-        self._predict_cache: Optional[tuple] = None
+        self._predict_cache: Optional[frozen_window.EmbeddingSnapshot] = None
         self._version = 0
         self.static_constraint = None
         self.static_weight = 0.0
@@ -235,10 +236,17 @@ class RETIA(Module):
         self._history[snapshot.time] = snapshot
         self._invalidate()
 
+    def revealed_before(self, ts: int) -> List[Snapshot]:
+        """Every known snapshot strictly before ``ts``, oldest first.
+
+        The full reveal stream, which history-candidate scoring indexes
+        (the encoder itself only sees :meth:`history_before`).
+        """
+        return [self._history[t] for t in sorted(t for t in self._history if t < ts)]
+
     def history_before(self, ts: int) -> List[Snapshot]:
         """The last-k known snapshots strictly before ``ts``."""
-        times = sorted(t for t in self._history if t < ts)
-        return [self._history[t] for t in times[-self.config.history_length :]]
+        return self.revealed_before(ts)[-self.config.history_length :]
 
     def _invalidate(self) -> None:
         self._predict_cache = None
@@ -449,30 +457,25 @@ class RETIA(Module):
     # ------------------------------------------------------------------
     # ExtrapolationModel contract
     # ------------------------------------------------------------------
-    def _evolved_for(self, ts: int):
+    def embedding_snapshot(
+        self, ts: int, spill_dir: Optional[str] = None
+    ) -> frozen_window.EmbeddingSnapshot:
+        """The evolved window for ``ts`` at the current parameter version.
+
+        In RAM it is cached on ``(ts, version)`` until the next reveal or
+        parameter update; with ``spill_dir`` a fresh capture is written
+        there as memmap tables.
+        """
+        if spill_dir is not None:
+            return frozen_window.capture(self, ts, self._version, spill_dir=spill_dir)
         cache = self._predict_cache
-        if cache is not None and cache[0] == (ts, self._version):
-            return cache[1], cache[2]
-        history = self.history_before(ts)
-        was_training = self.training
-        self.eval()
-        with no_grad():
-            entity_list, relation_list = self.evolve(history)
-        if was_training:
-            self.train()
-        self._predict_cache = ((ts, self._version), entity_list, relation_list)
-        return entity_list, relation_list
+        if cache is None or (cache.ts, cache.version) != (ts, self._version):
+            cache = self._predict_cache = frozen_window.capture(self, ts, self._version)
+        return cache
 
     def predict_entities(self, queries: np.ndarray, ts: int) -> np.ndarray:
         """Summed per-snapshot probabilities for all N entities."""
-        entity_list, relation_list = self._evolved_for(ts)
-        was_training = self.training
-        self.eval()
-        with no_grad(), self._dtype_policy:
-            probs = self._entity_probabilities(entity_list, relation_list, queries)
-        if was_training:
-            self.train()
-        return self._sum_probs(probs)
+        return frozen_window.score_entities(self, self.embedding_snapshot(ts), queries)
 
     def rank_entities(
         self,
@@ -486,76 +489,29 @@ class RETIA(Module):
 
         The seam the evaluation protocol ranks through.  Without a
         configured scorer this *is* the historical protocol code —
-        dedup, :meth:`predict_entities`, scatter,
+        dedup, the dense decode of :meth:`predict_entities`, scatter,
         :func:`~repro.eval.metrics.ranks_from_scores` — bit for bit.
-        With one, query representations are built once (same gathers
-        and stacked decoder pass as the dense path) and the strategy
-        streams candidate scoring, so the full ``(B, N)`` score matrix
-        need never exist.  ``mask`` uses the filtered-setting
-        convention: ``True`` excludes a candidate, targets never are.
+        With one, the strategy streams candidate scoring, so the full
+        ``(B, N)`` score matrix need never exist; a history-candidate
+        scorer indexes the full reveal stream (:meth:`revealed_before`),
+        not the encoder's last-k window.  ``mask`` uses the
+        filtered-setting convention: ``True`` excludes a candidate,
+        targets never are.
         """
-        from repro.eval.metrics import ranks_from_scores
-
-        queries = np.asarray(queries, dtype=np.int64)
-        targets = np.asarray(targets, dtype=np.int64)
-        scorer = self.scorer
-        if scorer is None:
-            if dedup:
-                unique_queries, inverse = np.unique(queries, axis=0, return_inverse=True)
-                # return_inverse shape for axis-unique varies across numpy 2.x.
-                scores = self.predict_entities(unique_queries, ts)[inverse.ravel()]
-            else:
-                scores = self.predict_entities(queries, ts)
-            return ranks_from_scores(scores, targets, mask)
-
-        if dedup:
-            unique_queries, inverse = np.unique(queries, axis=0, return_inverse=True)
-            inverse = inverse.ravel()
-        else:
-            unique_queries, inverse = queries, None
-        entity_list, relation_list = self._evolved_for(ts)
-        if not self.config.time_variability:
-            entity_list, relation_list = entity_list[-1:], relation_list[-1:]
-        was_training = self.training
-        self.eval()
-        with no_grad(), self._dtype_policy:
-            # Same gathers and batched decoder pass as
-            # _entity_probabilities' fast path (queries_stacked is
-            # bitwise identical to the per-snapshot loop in eval mode).
-            snaps = len(entity_list)
-            t_rows = np.arange(snaps)[:, None]
-            entities = F.stack(entity_list)
-            relations = F.stack(relation_list)
-            subj = entities[(t_rows, unique_queries[:, 0][None, :])]
-            rel = relations[(t_rows, unique_queries[:, 1][None, :])]
-            reps = self.entity_decoder.queries_stacked(subj, rel).data
-            candidates = [e.data for e in entity_list]
-        if was_training:
-            self.train()
-        if getattr(scorer, "needs_history", False):
-            # The candidate index wants the full reveal stream, not the
-            # encoder's last-k window.
-            revealed = [self._history[t] for t in sorted(self._history) if t < ts]
-            scorer.sync_history(revealed, self.config.num_relations)
-        return scorer.ranks(
-            reps,
-            candidates,
+        return frozen_window.rank_entities(
+            self,
+            self.embedding_snapshot(ts),
+            queries,
             targets,
             mask=mask,
-            inverse=inverse,
-            query_ids=unique_queries,
+            dedup=dedup,
+            scorer=self.scorer,
+            revealed=self.revealed_before(ts),
         )
 
     def predict_relations(self, pairs: np.ndarray, ts: int) -> np.ndarray:
         """Summed per-snapshot probabilities for all M relations."""
-        entity_list, relation_list = self._evolved_for(ts)
-        was_training = self.training
-        self.eval()
-        with no_grad(), self._dtype_policy:
-            probs = self._relation_probabilities(entity_list, relation_list, pairs)
-        if was_training:
-            self.train()
-        return self._sum_probs(probs)
+        return frozen_window.score_relations(self, self.embedding_snapshot(ts), pairs)
 
     def observe(self, snapshot: Snapshot) -> None:
         """Record revealed facts; online updates are handled by Trainer's

@@ -134,8 +134,6 @@ def _shutdown_pool(pool, grace: float = 5.0) -> None:
 def _init_eval_worker(payload: dict) -> None:
     """Install one worker's model replica and collapsed reveal schedule."""
     model = payload["model"]
-    if hasattr(model, "_predict_cache"):
-        model._predict_cache = None
     for snapshot in payload["reveal"]:
         model.record_snapshot(snapshot)
     _WORKER_STATE.clear()

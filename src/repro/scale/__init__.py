@@ -18,10 +18,14 @@ This package makes candidate scoring a *strategy*:
   explicit approximation (``exact = False``).
 
 :class:`~repro.scale.store.EmbeddingStore` backs embedding tables with
-either an in-RAM array or a lazily-opened ``np.memmap``, and
-:class:`~repro.scale.frozen.FrozenWindowModel` serves a frozen evolved
-window straight from such stores so vocabularies larger than RAM can be
-evaluated.  See DESIGN.md §9 for the exactness contract.
+either an in-RAM array or a lazily-opened ``np.memmap``.
+:mod:`repro.scale.snapshot` is the one freeze-and-decode path: an
+:class:`~repro.scale.snapshot.EmbeddingSnapshot` holds an evolved
+window as such stores, and the model's prediction cache, the serving
+layer and :class:`~repro.scale.frozen.FrozenWindowModel` (which
+evaluates vocabularies larger than RAM from a spilled window) all
+capture and decode through it.  See DESIGN.md §9 for the exactness
+contract.
 """
 
 from repro.scale.candidates import HistoryCandidateIndex
@@ -35,12 +39,14 @@ from repro.scale.scorers import (
     get_scorer,
     select_topk,
 )
+from repro.scale.snapshot import EmbeddingSnapshot
 from repro.scale.store import EmbeddingStore
 
 __all__ = [
     "BlockedScorer",
     "CandidateScorer",
     "DenseScorer",
+    "EmbeddingSnapshot",
     "EmbeddingStore",
     "FrozenWindowModel",
     "HistoryCandidateIndex",

@@ -1,82 +1,66 @@
 """A decoder-only model over a frozen, possibly memmap-backed window.
 
 Large-vocabulary evaluation does not need the recurrent encoder in the
-loop: the serving layer (PR 7) already decodes against a *captured*
-evolved window, and the same shape makes the entity axis scalable —
-evolve once, spill the per-snapshot entity/relation stacks to
-:class:`~repro.scale.store.EmbeddingStore` ``.npy`` tables, then score
-any number of queries through the blocked scorer seam while the tables
-stay on disk.
+loop: evolve once into an :class:`~repro.scale.snapshot.EmbeddingSnapshot`
+(optionally spilled to ``.npy`` memmap tables), then score any number
+of queries through the scorer seam while the tables stay on disk.
 
-:class:`FrozenWindowModel` implements the ``ExtrapolationModel``
-contract over such a window.  ``observe`` is record-only and
-time-indexed (``record_snapshot`` / ``history_before``), so sharded
-evaluation admits it at any worker count; pickling ships store *paths*
-only (each pool worker reopens its memmaps lazily).  The window itself
-is static — every timestamp is scored from the same frozen embeddings,
-which is exactly the staleness trade the serving layer makes, not the
-paper's per-timestamp re-evolution.
+:class:`FrozenWindowModel` is the ``ExtrapolationModel`` adapter over
+such a window: deep-copied decoders, one snapshot and the reveal
+stream.  ``observe`` is record-only and time-indexed
+(``record_snapshot`` / ``history_before``), so sharded evaluation
+admits it at any worker count; pickling ships store *paths* only (each
+pool worker reopens its memmaps lazily).  The window itself is static —
+every timestamp is scored from the same frozen embeddings, which is
+exactly the staleness trade the serving layer makes, not the paper's
+per-timestamp re-evolution.
 """
 
 from __future__ import annotations
 
 import copy
-import os
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.autograd import DtypePolicy, Tensor, no_grad
+from repro.autograd import DtypePolicy
+from repro.scale import snapshot as frozen_window
 from repro.scale.scorers import BlockedScorer, CandidateScorer, DenseScorer, get_scorer
-from repro.scale.store import EmbeddingStore
 
 
 class FrozenWindowModel:
-    """Score queries against frozen evolved embedding stores.
+    """Score queries against one frozen evolved window.
 
     Parameters
     ----------
     entity_decoder / relation_decoder:
         Conv-TransE decoders (deep-copied, held in eval mode).
-    entity_stores / relation_stores:
-        One :class:`EmbeddingStore` per historical snapshot in the
-        frozen window — ``(N, d)`` entity and ``(2M, d)`` relation rows.
-    num_entities / num_relations:
-        Vocabulary sizes (``num_relations`` is the base count M).
+    snapshot:
+        The frozen :class:`~repro.scale.snapshot.EmbeddingSnapshot`;
+        decoder passes run in its dtype.
     scorer:
         Candidate strategy for entity ranking; defaults to the exact
         :class:`~repro.scale.scorers.BlockedScorer`.
-    dtype:
-        Dtype policy under which decoder passes run.
+    history:
+        The reveal stream known at freeze time (history-candidate
+        scorers index it).
     """
 
     def __init__(
         self,
         entity_decoder,
         relation_decoder,
-        entity_stores: Sequence[EmbeddingStore],
-        relation_stores: Sequence[EmbeddingStore],
-        num_entities: int,
-        num_relations: int,
+        snapshot: frozen_window.EmbeddingSnapshot,
         scorer: Optional[CandidateScorer] = None,
-        dtype: str = "float64",
+        history: Sequence = (),
     ):
-        if len(entity_stores) != len(relation_stores) or not entity_stores:
-            raise ValueError("need matching, non-empty entity/relation store windows")
         self.entity_decoder = entity_decoder
         self.relation_decoder = relation_decoder
-        self.entity_stores = list(entity_stores)
-        self.relation_stores = list(relation_stores)
-        self.num_entities = int(num_entities)
-        self.num_relations = int(num_relations)
-        self.scorer = get_scorer(scorer) if scorer is not None else BlockedScorer()
-        self._dtype_policy = DtypePolicy(dtype)
-        self._history: List = []
-        self._predict_cache = None  # parity with RETIA's worker-reset contract
+        self.snapshot = snapshot
+        self.set_scorer(scorer)
+        self._dtype_policy = DtypePolicy(snapshot.dtype)
+        self._history: List = list(history)
 
-    # ------------------------------------------------------------------
-    # Construction from a live model
-    # ------------------------------------------------------------------
     @classmethod
     def freeze(
         cls,
@@ -85,42 +69,19 @@ class FrozenWindowModel:
         spill_dir: Optional[str] = None,
         scorer: Optional[CandidateScorer] = None,
     ) -> "FrozenWindowModel":
-        """Capture ``model``'s evolved window at ``ts`` into stores.
+        """Freeze ``model``'s evolved window at ``ts``.
 
-        With ``spill_dir`` the per-snapshot stacks are written to
-        ``.npy`` files there and backed by lazy memmaps; otherwise they
-        stay in RAM.  Respects ``time_variability=False`` by freezing
-        only the last snapshot, matching the model's own decoding.
+        With ``spill_dir`` the stacks are written to ``.npy`` tables
+        there and backed by lazy memmaps; otherwise they stay in RAM.
+        The reveal stream is the model's full one before ``ts``.
         """
-        entity_list, relation_list = model._evolved_for(ts)
-        config = model.config
-        if not config.time_variability:
-            entity_list, relation_list = entity_list[-1:], relation_list[-1:]
-
-        def _store(kind: str, index: int, tensor: Tensor) -> EmbeddingStore:
-            if spill_dir is None:
-                return EmbeddingStore.from_array(np.array(tensor.data))
-            path = os.path.join(spill_dir, f"{kind}_t{index}.npy")
-            return EmbeddingStore.save(path, tensor.data)
-
-        entity_stores = [_store("entity", i, e) for i, e in enumerate(entity_list)]
-        relation_stores = [_store("relation", i, r) for i, r in enumerate(relation_list)]
-        entity_decoder = copy.deepcopy(model.entity_decoder)
-        relation_decoder = copy.deepcopy(model.relation_decoder)
-        entity_decoder.eval()
-        relation_decoder.eval()
-        frozen = cls(
-            entity_decoder,
-            relation_decoder,
-            entity_stores,
-            relation_stores,
-            num_entities=config.num_entities,
-            num_relations=config.num_relations,
+        return cls(
+            copy.deepcopy(model.entity_decoder).eval(),
+            copy.deepcopy(model.relation_decoder).eval(),
+            model.embedding_snapshot(ts, spill_dir=spill_dir),
             scorer=scorer,
-            dtype=config.dtype,
+            history=model.revealed_before(ts),
         )
-        frozen._history = list(model.history_before(ts))
-        return frozen
 
     def set_scorer(self, scorer) -> None:
         parsed = get_scorer(scorer)
@@ -140,23 +101,8 @@ class FrozenWindowModel:
         self.record_snapshot(snapshot)
 
     # ------------------------------------------------------------------
-    # Decoding
+    # Decoding: every timestamp sees the same frozen window
     # ------------------------------------------------------------------
-    def _entity_query_reps(self, queries: np.ndarray) -> np.ndarray:
-        """Stacked ``(T, B, d)`` decoder query representations."""
-        with no_grad(), self._dtype_policy:
-            subjects = np.stack(
-                [np.asarray(store.data[queries[:, 0]]) for store in self.entity_stores]
-            )
-            relations = np.stack(
-                [np.asarray(store.data[queries[:, 1]]) for store in self.relation_stores]
-            )
-            reps = self.entity_decoder.queries_stacked(Tensor(subjects), Tensor(relations))
-        return reps.data
-
-    def _candidate_tables(self) -> List[np.ndarray]:
-        return [store.data for store in self.entity_stores]
-
     def predict_entities(self, queries: np.ndarray, ts: int) -> np.ndarray:
         """Summed candidate probabilities ``(B, N)`` via the scorer seam.
 
@@ -164,10 +110,7 @@ class FrozenWindowModel:
         batches; large-vocabulary evaluation goes through
         :meth:`rank_entities`, which streams.
         """
-        del ts  # the window is frozen: every timestamp sees the same state
-        queries = np.asarray(queries, dtype=np.int64)
-        reps = self._entity_query_reps(queries)
-        return self.scorer.sum_probs(reps, self._candidate_tables())
+        return frozen_window.score_entities(self, self.snapshot, queries, self.scorer)
 
     def rank_entities(
         self,
@@ -178,36 +121,17 @@ class FrozenWindowModel:
         dedup: bool = True,
     ) -> np.ndarray:
         """Streamed gold ranks through the configured scorer."""
-        queries = np.asarray(queries, dtype=np.int64)
-        targets = np.asarray(targets, dtype=np.int64)
-        if dedup:
-            unique_queries, inverse = np.unique(queries, axis=0, return_inverse=True)
-            inverse = inverse.ravel()
-        else:
-            unique_queries, inverse = queries, None
-        reps = self._entity_query_reps(unique_queries)
-        if self.scorer.needs_history:
-            self.scorer.sync_history(self.history_before(ts), self.num_relations)
-        return self.scorer.ranks(
-            reps,
-            self._candidate_tables(),
+        return frozen_window.rank_entities(
+            self,
+            self.snapshot,
+            queries,
             targets,
             mask=mask,
-            inverse=inverse,
-            query_ids=unique_queries,
+            dedup=dedup,
+            scorer=self.scorer,
+            revealed=self.history_before(ts),
         )
 
     def predict_relations(self, pairs: np.ndarray, ts: int) -> np.ndarray:
         """Summed relation probabilities ``(B, M)`` (dense: M is small)."""
-        del ts
-        pairs = np.asarray(pairs, dtype=np.int64)
-        with no_grad(), self._dtype_policy:
-            subjects = np.stack(
-                [np.asarray(store.data[pairs[:, 0]]) for store in self.entity_stores]
-            )
-            objects = np.stack(
-                [np.asarray(store.data[pairs[:, 1]]) for store in self.entity_stores]
-            )
-            reps = self.relation_decoder.queries_stacked(Tensor(subjects), Tensor(objects))
-        tables = [np.asarray(store.data[: self.num_relations]) for store in self.relation_stores]
-        return DenseScorer().sum_probs(reps.data, tables)
+        return frozen_window.score_relations(self, self.snapshot, pairs, DenseScorer())

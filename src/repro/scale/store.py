@@ -57,11 +57,14 @@ class EmbeddingStore:
 
     @classmethod
     def save(cls, path: str, array: np.ndarray) -> "EmbeddingStore":
-        """Atomically write ``array`` to ``path`` (``.npy``), return a memmap store.
+        """Atomically write ``array`` to a new ``path`` (``.npy``), return a memmap store.
 
         The write goes to a same-directory temp file that is fsynced and
-        renamed over ``path``, mirroring :func:`repro.io.atomic_savez` —
-        a crash mid-write never leaves a truncated table behind.
+        then hard-linked to ``path`` — a crash mid-write never leaves a
+        truncated table behind.  An existing ``path`` is never replaced
+        (``FileExistsError``): lazy memmaps and pool workers reopen
+        tables by path, so overwriting one would silently swap the
+        embeddings under a reader that has not opened it yet.
         """
         path = os.fspath(path)
         array = np.asarray(array)
@@ -75,11 +78,9 @@ class EmbeddingStore:
                 np.save(handle, array)
                 handle.flush()
                 os.fsync(handle.fileno())
-            os.replace(tmp_path, path)
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-            raise
+            os.link(tmp_path, path)
+        finally:
+            os.unlink(tmp_path)
         return cls(path=path)
 
     @classmethod

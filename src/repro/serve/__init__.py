@@ -10,8 +10,10 @@ circuit breaker → graceful drain) rather than best-effort behaviour.
 See DESIGN.md §8 for the serve robustness contract and the README
 "Serving" section for endpoints and flags.
 
-* :mod:`repro.serve.snapshots` — frozen :class:`EmbeddingSnapshot`
-  capture and the staleness-accounting :class:`SnapshotStore`;
+* :mod:`repro.serve.snapshots` — the staleness-accounting
+  :class:`SnapshotStore` of the published :class:`EmbeddingSnapshot`
+  (captured and decoded by :mod:`repro.scale.snapshot`, the one
+  freeze-and-decode path the model and large-vocabulary eval share);
 * :mod:`repro.serve.batcher` — deadline-aware :class:`MicroBatcher`
   with bounded admission (shed-oldest);
 * :mod:`repro.serve.breaker` — the ingest :class:`CircuitBreaker`
@@ -54,15 +56,11 @@ from repro.serve.server import (
     ModelServer,
     ServeConfig,
     ServeResponse,
-    topk_entities,
-)
-from repro.serve.snapshots import (
-    EmbeddingSnapshot,
-    SnapshotStore,
-    SnapshotUnavailable,
     capture,
     score_entities,
+    topk_entities,
 )
+from repro.serve.snapshots import EmbeddingSnapshot, SnapshotStore, SnapshotUnavailable
 
 __all__ = [
     "SHED_DEADLINE",

@@ -50,6 +50,7 @@ from repro.graph import Snapshot
 from repro.obs import SCHEMA_VERSION, MetricsRegistry, RunReporter, SLODef, SLOEngine
 from repro.obs.tracing import Span, SpanCollector
 from repro.scale import get_scorer, select_topk
+from repro.scale.snapshot import capture, score_entities
 from repro.serve.batcher import (
     DeadlineExceeded,
     MicroBatcher,
@@ -57,12 +58,7 @@ from repro.serve.batcher import (
     Shed,
 )
 from repro.serve.breaker import CircuitBreaker
-from repro.serve.snapshots import (
-    SnapshotStore,
-    SnapshotUnavailable,
-    capture,
-    score_entities,
-)
+from repro.serve.snapshots import SnapshotStore, SnapshotUnavailable
 
 #: HTTP-flavoured response statuses surfaced on :class:`ServeResponse`.
 STATUS_OK = 200
@@ -408,7 +404,7 @@ class ModelServer:
         )
         self._warm_snapshot_cache(ts)
         with self._model_lock:
-            snapshot = capture(self.model, ts, self._next_version(), clock=self.clock)
+            snapshot = capture(self.model, ts, self._next_version())
         with self._report_lock:
             self.store.publish(snapshot)
         self._latest_ts = int(ts)
@@ -784,9 +780,7 @@ class ModelServer:
                     self.fault_injector.on_refresh_attempt(attempt_index)
                 self._warm_snapshot_cache(ts)
                 with self._model_lock:
-                    snapshot = capture(
-                        self.model, ts, self._next_version(), clock=self.clock
-                    )
+                    snapshot = capture(self.model, ts, self._next_version())
             except Exception as exc:  # noqa: BLE001 - supervised: retry, degrade
                 giving_up = attempt >= cfg.refresh_attempts
                 sleep_s = 0.0

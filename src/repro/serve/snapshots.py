@@ -1,15 +1,15 @@
-"""Published evolved-embedding snapshots for decoder-only serving.
+"""The published serving snapshot and its staleness accounting.
 
 RETIA's deployment shape splits cleanly: the expensive recurrent
 encoder runs *once per timestamp* (``model.evolve`` over the history
 window), and answering a ``(s, r, ?)`` query afterwards is decoder-only
-work against the evolved per-snapshot embedding stacks.  A
-:class:`SnapshotStore` holds exactly that split's interface:
+work against the evolved per-snapshot embedding stacks.  That split is
+:mod:`repro.scale.snapshot`: :func:`~repro.scale.snapshot.capture`
+freezes the window into an immutable :class:`EmbeddingSnapshot` (RAM
+*copies*, so later online updates cannot mutate what the query path is
+reading) and :func:`~repro.scale.snapshot.score_entities` decodes from
+it.  This module holds the serving side:
 
-* :func:`capture` runs the encoder once (under ``no_grad``) and freezes
-  the resulting ``(entity_list, relation_list)`` stacks into an
-  immutable :class:`EmbeddingSnapshot` — *copies*, so later online
-  updates to the model cannot mutate what the query path is reading;
 * :meth:`SnapshotStore.publish` atomically swaps the served snapshot
   and resets staleness;
 * :meth:`SnapshotStore.mark_stale` records a refresh cycle the store
@@ -26,93 +26,14 @@ publish — an invariant ``scripts/check_run_health.py`` replays over the
 
 from __future__ import annotations
 
-import os
 import threading
-import time
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.autograd import DtypePolicy, Tensor, no_grad
+from repro.scale.snapshot import EmbeddingSnapshot
 
 
 class SnapshotUnavailable(RuntimeError):
     """The store has never been published (server not ready)."""
-
-
-@dataclass(frozen=True)
-class EmbeddingSnapshot:
-    """Frozen evolved embedding stacks for one serving timestamp.
-
-    ``entity_list``/``relation_list`` mirror the output of
-    :meth:`repro.core.model.RETIA.evolve`: one ``(N, d)`` / ``(2M, d)``
-    tensor per historical snapshot in the window (oldest first).
-    """
-
-    ts: int
-    version: int
-    entity_list: Tuple[Tensor, ...]
-    relation_list: Tuple[Tensor, ...]
-    history_times: Tuple[int, ...]
-    created_at: float
-
-    @property
-    def window(self) -> int:
-        return len(self.entity_list)
-
-
-def capture(
-    model,
-    ts: int,
-    version: int,
-    clock: Callable[[], float] = time.monotonic,
-    spill_dir: Optional[str] = None,
-) -> EmbeddingSnapshot:
-    """Run the encoder once and freeze the evolved stacks for ``ts``.
-
-    The caller is responsible for holding whatever lock protects the
-    model against concurrent parameter updates; this function only
-    guarantees the *returned* snapshot is decoupled (data copied).
-
-    With ``spill_dir``, each frozen stack is written to a ``.npy`` table
-    there (via :class:`repro.scale.EmbeddingStore`) and the snapshot's
-    tensors wrap lazy read-only memmaps instead of RAM copies — the
-    large-vocabulary serving shape, where the query path reads candidate
-    rows straight off disk pages.
-    """
-    history = model.history_before(ts)
-    was_training = getattr(model, "training", False)
-    if hasattr(model, "eval"):
-        model.eval()
-    try:
-        with no_grad():
-            entity_list, relation_list = model.evolve(history)
-    finally:
-        if was_training and hasattr(model, "train"):
-            model.train()
-
-    def _freeze(kind: str, index: int, tensor: Tensor) -> Tensor:
-        if spill_dir is None:
-            table = tensor.data.copy()
-        else:
-            from repro.scale import EmbeddingStore
-
-            path = os.path.join(spill_dir, f"{kind}_v{int(version)}_t{index}.npy")
-            table = EmbeddingStore.save(path, tensor.data).data
-        # Construct under the table's own dtype so the Tensor wraps it
-        # without a cast: a float32 model's stacks stay float32 (the
-        # process default would widen them to float64), and a memmap
-        # loads rows lazily as the decoder gathers them.
-        with DtypePolicy(table.dtype):
-            return Tensor(table)
-
-    return EmbeddingSnapshot(
-        ts=int(ts),
-        version=int(version),
-        entity_list=tuple(_freeze("entity", i, t) for i, t in enumerate(entity_list)),
-        relation_list=tuple(_freeze("relation", i, t) for i, t in enumerate(relation_list)),
-        history_times=tuple(int(s.time) for s in history),
-        created_at=clock(),
-    )
 
 
 class SnapshotStore:
@@ -171,48 +92,3 @@ class SnapshotStore:
                 "publishes": self.publishes,
             }
 
-
-def score_entities(model, snapshot: EmbeddingSnapshot, queries, scorer=None) -> "np.ndarray":
-    """Decoder-only entity scores ``(B, N)`` from a frozen snapshot.
-
-    Reuses the model's batched time-variability decode
-    (:meth:`~repro.core.decoder.ConvTransE.probabilities_multi` when
-    ``batched_decoder`` is on) against the frozen stacks, then sums the
-    per-snapshot probabilities exactly as ``predict_entities`` does.
-    The caller must hold the model lock — the decoder weights are live.
-
-    ``scorer`` (a :class:`repro.scale.CandidateScorer` or spec string)
-    swaps the candidate pass onto the scorer seam: query representations
-    come from the same stacked decoder pass, but candidate scoring
-    streams through the strategy — the route that keeps memory bounded
-    when the snapshot's entity stacks are memmap-backed.  ``None``
-    keeps the legacy dense matmul, bit for bit.
-    """
-    import numpy as np  # local: keep module import cost off the hot path
-
-    queries = np.asarray(queries, dtype=np.int64).reshape(-1, 2)
-    entity_list = list(snapshot.entity_list)
-    relation_list = list(snapshot.relation_list)
-    was_training = getattr(model, "training", False)
-    if hasattr(model, "eval"):
-        model.eval()
-    try:
-        if scorer is None:
-            with no_grad(), model._dtype_policy:
-                probs = model._entity_probabilities(entity_list, relation_list, queries)
-            return model._sum_probs(probs)
-        from repro.scale import get_scorer
-
-        strategy = get_scorer(scorer)
-        if not model.config.time_variability:
-            entity_list, relation_list = entity_list[-1:], relation_list[-1:]
-        with no_grad(), model._dtype_policy:
-            # Per-stack row gathers (not F.stack) so memmap-backed
-            # snapshots never load their full tables for the query side.
-            subj = Tensor(np.stack([e.data[queries[:, 0]] for e in entity_list]))
-            rel = Tensor(np.stack([r.data[queries[:, 1]] for r in relation_list]))
-            reps = model.entity_decoder.queries_stacked(subj, rel).data
-        return strategy.sum_probs(reps, [t.data for t in entity_list])
-    finally:
-        if was_training and hasattr(model, "train"):
-            model.train()

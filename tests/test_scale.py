@@ -380,8 +380,8 @@ class TestFrozenWindowModel:
         first_ts = int(test.timestamps[0])
         ram = FrozenWindowModel.freeze(model, first_ts)
         spilled = FrozenWindowModel.freeze(model, first_ts, spill_dir=str(tmp_path))
-        assert {s.backend for s in ram.entity_stores} == {"ram"}
-        assert {s.backend for s in spilled.entity_stores} == {"memmap"}
+        assert {s.backend for s in ram.snapshot.entity_list} == {"ram"}
+        assert {s.backend for s in spilled.snapshot.entity_list} == {"memmap"}
         ram_result = evaluate_extrapolation_sharded(ram, test, workers=1)
         mm_result = evaluate_extrapolation_sharded(spilled, test, workers=1)
         assert ram_result.entity == mm_result.entity
@@ -418,6 +418,53 @@ class TestFrozenWindowModel:
         assert frozen.scorer.spec() == "blocked:1:3"
         assert np.array_equal(frozen.predict_entities(queries, ts=0), dense_probs)
         assert frozen.predict_relations(queries, ts=0).shape == (2, train.num_relations)
+
+
+    def test_freezes_sharing_a_spill_dir_keep_their_own_tables(self, splits, tmp_path):
+        train, valid, test = splits
+        model = revealed_model(train, valid)
+        first_ts, later_ts = int(test.timestamps[0]), int(test.timestamps[2])
+        queries = np.array([[0, 1], [3, 2], [5, 4], [7, 0]])
+        twin = FrozenWindowModel.freeze(model, first_ts)
+        first = FrozenWindowModel.freeze(model, first_ts, spill_dir=str(tmp_path))
+        for ts in test.timestamps[:2]:
+            model.record_snapshot(test.snapshot(int(ts)))
+        second = FrozenWindowModel.freeze(model, later_ts, spill_dir=str(tmp_path))
+        expected = twin.predict_entities(queries, first_ts)
+        # Memmaps open lazily and pool workers reopen them by path, so a
+        # later freeze into the same directory must not touch the tables
+        # the first window reads.
+        shipped = pickle.loads(pickle.dumps(first))
+        assert np.array_equal(first.predict_entities(queries, first_ts), expected)
+        assert np.array_equal(shipped.predict_entities(queries, first_ts), expected)
+        assert not np.array_equal(second.predict_entities(queries, later_ts), expected)
+        # Same window version into the same directory: refused, not overwritten.
+        with pytest.raises(FileExistsError):
+            FrozenWindowModel.freeze(model, later_ts, spill_dir=str(tmp_path))
+
+    @pytest.mark.parametrize("spec", ["dense", "blocked:3:5", "topk:5", "history:4"])
+    def test_live_and_frozen_ranks_agree(self, splits, spec):
+        train, valid, test = splits
+        model = revealed_model(train, valid)
+        model.set_scorer(spec)
+        ts = int(test.timestamps[0])
+        frozen = FrozenWindowModel.freeze(model, ts, scorer=get_scorer(spec))
+        facts = test.snapshot(ts).triples
+        queries = np.concatenate([facts[:, [0, 1]], facts[:, [2, 1]] + [0, train.num_relations]])
+        targets = np.concatenate([facts[:, 2], facts[:, 0]])
+        mask = np.random.default_rng(3).random((len(queries), train.num_entities)) < 0.2
+        live = model.rank_entities(queries, targets, ts, mask=mask)
+        assert np.array_equal(frozen.rank_entities(queries, targets, ts, mask=mask), live)
+
+    def test_spilled_frozen_model_pickles_paths_only(self, splits, tmp_path):
+        train, valid, test = splits
+        model = revealed_model(train, valid, num_entities=4096)
+        frozen = FrozenWindowModel.freeze(model, int(test.timestamps[0]), spill_dir=str(tmp_path))
+        table = frozen.snapshot.entity_list[0]
+        assert table.backend == "memmap"
+        # Sharded eval ships the frozen model to every pool worker: the
+        # tables must travel as paths, never as arrays.
+        assert len(pickle.dumps(frozen)) < table.data.nbytes
 
 
 class TestServeScorerSeam:
