@@ -432,11 +432,12 @@ def gru_cell(
     """One fused GRU step: ``h' = (1 - z) * n + z * h`` as a single node.
 
     Bit-identical (to the ulp, values and gradients) to the reference
-    composition in :class:`repro.nn.rnn.GRUCell` — both GEMMs, the bias
-    adds, gate slicing, the stable sigmoids/tanh and the blend replicate
-    the reference's floating-point operation order exactly, and the
-    hand-derived backward reproduces the reference tape's accumulation
-    arithmetic term by term (see DESIGN.md §11 for the derivation).
+    composition kept as the test oracle ``tests/oracles/cells.py`` — both
+    GEMMs, the bias adds, gate slicing, the stable sigmoids/tanh and the
+    blend replicate the reference's floating-point operation order
+    exactly, and the hand-derived backward reproduces the reference
+    tape's accumulation arithmetic term by term (see DESIGN.md §11 for
+    the derivation).
 
     When ``bias_hh`` is exactly zero the second bias add is folded away
     (``b_ih + b_hh == b_ih`` exactly), eliminating one ``(B, 3H)``
@@ -587,8 +588,8 @@ def lstm_cell(
 ) -> Tuple[Tensor, Tensor]:
     """One fused LSTM step: returns ``(h_next, c_next)`` from ONE backward.
 
-    Bit-identical to the reference composition in
-    :class:`repro.nn.rnn.LSTMCell` (same GEMM/bias/activation order; the
+    Bit-identical to the reference composition kept as the test oracle
+    ``tests/oracles/cells.py`` (same GEMM/bias/activation order; the
     hand-derived backward reproduces the tape's accumulation arithmetic —
     DESIGN.md §11).  The two outputs share a single fused backward:
     ``c_next`` owns it, and ``h_next`` is a child of ``c_next`` whose

@@ -230,13 +230,9 @@ def measure_cell(
     the EAM R-GRU over the ``(N, d)`` entity matrix, the RAM R-GRU over
     ``(2M, d)`` relations, and the TIM relation/hyperrelation LSTMs over
     their ``2d``-wide inputs — forward plus backward, isolating the cell
-    cost from message passing and decode.  The loop is timed twice, once
-    through the fused :func:`F.gru_cell`/:func:`F.lstm_cell` kernels and
-    once through the reference ~12-node composition (same cells, same
-    weights — the fused path is bit-identical, so the comparison is pure
-    graph overhead).  ``cell_seconds_per_step`` is the fused figure the
-    gates use; ``reference_seconds_per_step`` and ``speedup`` ride along
-    for the EXPERIMENTS.md table.
+    cost from message passing and decode.  ``cell_seconds_per_step`` is
+    the per-step time of the fused :func:`F.gru_cell`/:func:`F.lstm_cell`
+    kernels, the figure the gate holds.
     """
     from repro.autograd import DtypePolicy, Tensor
     from repro.graph import NUM_HYPERRELATIONS
@@ -277,28 +273,20 @@ def measure_cell(
                 for param in cell.parameters():
                     param.grad = None
 
-        def timed(fused: bool) -> float:
-            for cell, _, _, _ in batches:
-                cell.fused = fused
-            for _ in range(CELL_WARMUP_STEPS):
-                one_step()
-            start = time.perf_counter()
-            for _ in range(CELL_STEPS):
-                one_step()
-                _nap(per_step_sleep)
-            return (time.perf_counter() - start) / CELL_STEPS
-
-        reference_per_step = timed(fused=False)
-        fused_per_step = timed(fused=True)
+        for _ in range(CELL_WARMUP_STEPS):
+            one_step()
+        start = time.perf_counter()
+        for _ in range(CELL_STEPS):
+            one_step()
+            _nap(per_step_sleep)
+        per_step = (time.perf_counter() - start) / CELL_STEPS
 
     return {
         "dataset": dataset_name,
         "steps": CELL_STEPS,
         "dtype": resolved.name,
-        "cell_seconds_per_step": fused_per_step,
-        "seconds_per_step": fused_per_step,
-        "reference_seconds_per_step": reference_per_step,
-        "speedup": reference_per_step / fused_per_step if fused_per_step else 0.0,
+        "cell_seconds_per_step": per_step,
+        "seconds_per_step": per_step,
     }
 
 
@@ -597,17 +585,11 @@ BENCHMARKS: Dict[str, Benchmark] = {
             measure=measure_cell,
             key="cell_seconds_per_step",
             series=("dataset", "dtype"),
-            extras=("reference_seconds_per_step", "speedup"),
             gauges=(
                 (
                     "cell_seconds_per_step",
                     "cell_seconds_per_step",
                     "all encoder recurrent cells, forward+backward, fused path",
-                ),
-                (
-                    "cell_reference_seconds_per_step",
-                    "reference_seconds_per_step",
-                    "all encoder recurrent cells, forward+backward, reference path",
                 ),
             ),
             budget={"cell_seconds_per_step": 2.0},

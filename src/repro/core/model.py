@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -76,19 +76,18 @@ class RETIAConfig:
     # honours REPRO_DTYPE so a CI leg can run the whole suite under
     # float32 models while raw-autograd tests stay float64.
     dtype: str = field(default_factory=lambda: os.environ.get("REPRO_DTYPE", "float64"))
-    # One stacked Conv-TransE pass over the k historical snapshots
-    # instead of k sequential decoder calls (bit-identical; see
-    # tests/test_decoder_fastpath.py).
+    # Retired switches, still accepted so old checkpoint config blobs
+    # and callers that pass them keep loading.  The model has one
+    # decoder path and one cell kernel each (their reference
+    # compositions are test oracles under tests/oracles/), so both
+    # normalise to True and select nothing.
     batched_decoder: bool = True
-    # Single-node fused GRU/LSTM steps with pooled gate buffers instead
-    # of the ~12-node per-step composition (bit-identical; see
-    # tests/test_fused_cells.py).  REPRO_FUSED_CELLS=0 forces the
-    # reference path for the whole process (the CI matrix leg).
-    fused_cells: bool = field(
-        default_factory=lambda: os.environ.get("REPRO_FUSED_CELLS", "1") != "0"
-    )
+    fused_cells: bool = True
 
     def __post_init__(self):
+        for name in ("num_entities", "num_relations", "dim", "num_kernels"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.relation_mode not in RELATION_MODES:
             raise ValueError(f"relation_mode must be one of {RELATION_MODES}")
         if self.hyper_mode not in HYPER_MODES:
@@ -100,7 +99,8 @@ class RETIAConfig:
         # Normalise (and validate) to the canonical dtype name so config
         # equality and checkpoint round-trips are exact.
         object.__setattr__(self, "dtype", resolve_dtype(self.dtype).name)
-        object.__setattr__(self, "fused_cells", bool(self.fused_cells))
+        object.__setattr__(self, "batched_decoder", True)
+        object.__setattr__(self, "fused_cells", True)
 
 
 def validate_snapshot_ids(snapshot, num_entities: int, num_relations: int) -> None:
@@ -163,21 +163,12 @@ class RETIA(Module):
             self.eam_relation_embedding = Parameter(np.zeros((2 * m, d)))
             init.xavier_uniform_(self.eam_relation_embedding, rng=rng)
 
-            self.tim = TwinInteractModule(m, d, rng=rng, fused_cells=config.fused_cells)
+            self.tim = TwinInteractModule(m, d, rng=rng)
             self.ram = RelationAggregationModule(
-                d,
-                num_layers=config.num_layers,
-                dropout=config.dropout,
-                rng=rng,
-                fused_cells=config.fused_cells,
+                d, num_layers=config.num_layers, dropout=config.dropout, rng=rng
             )
             self.eam = EntityAggregationModule(
-                m,
-                d,
-                num_layers=config.num_layers,
-                dropout=config.dropout,
-                rng=rng,
-                fused_cells=config.fused_cells,
+                m, d, num_layers=config.num_layers, dropout=config.dropout, rng=rng
             )
             self.entity_decoder = ConvTransE(
                 d, config.num_kernels, config.kernel_width, config.dropout, rng=rng
@@ -391,68 +382,37 @@ class RETIA(Module):
     # ------------------------------------------------------------------
     # Decoding (Eq. 11-12)
     # ------------------------------------------------------------------
-    def _entity_probabilities(
-        self, entity_list, relation_list, queries: np.ndarray
-    ) -> Union[Tensor, List[Tensor]]:
-        """Per-historical-snapshot entity probabilities ``p_t^e``.
-
-        Returns a single stacked ``(T, B, N)`` tensor on the batched fast
-        path, or one ``(B, N)`` tensor per snapshot on the reference
-        loop; both shapes are accepted downstream by :func:`_sum_probs`
-        and :func:`repro.nn.losses.nll_of_summed_probs`.
-        """
+    def _entity_probabilities(self, entity_list, relation_list, queries: np.ndarray) -> Tensor:
+        """Stacked ``(T, B, N)`` per-historical-snapshot entity
+        probabilities ``p_t^e``: one Conv-TransE pass over all k
+        snapshots (the per-snapshot loop is the test oracle
+        ``tests/oracles/decoder.py``)."""
         if not self.config.time_variability:
             entity_list, relation_list = entity_list[-1:], relation_list[-1:]
         queries = np.asarray(queries, dtype=np.int64)
         with tracing.span("decoder", queries=len(queries), snapshots=len(entity_list)):
-            if self.config.batched_decoder:
-                snaps = len(entity_list)
-                t_rows = np.arange(snaps)[:, None]
-                entities = F.stack(entity_list)  # (T, N, d)
-                relations = F.stack(relation_list)  # (T, 2M, d)
-                subj = entities[(t_rows, queries[:, 0][None, :])]  # (T, B, d)
-                rel = relations[(t_rows, queries[:, 1][None, :])]  # (T, B, d)
-                return self.entity_decoder.probabilities_multi(subj, rel, entities)
-            probs = []
-            for entity, relation in zip(entity_list, relation_list):
-                subj = entity.gather_rows(queries[:, 0])
-                rel = relation.gather_rows(queries[:, 1])
-                probs.append(self.entity_decoder.probabilities(subj, rel, entity))
-        return probs
+            t_rows = np.arange(len(entity_list))[:, None]
+            entities = F.stack(entity_list)  # (T, N, d)
+            relations = F.stack(relation_list)  # (T, 2M, d)
+            subj = entities[(t_rows, queries[:, 0][None, :])]  # (T, B, d)
+            rel = relations[(t_rows, queries[:, 1][None, :])]  # (T, B, d)
+            return self.entity_decoder.probabilities_multi(subj, rel, entities)
 
-    def _relation_probabilities(
-        self, entity_list, relation_list, pairs: np.ndarray
-    ) -> Union[Tensor, List[Tensor]]:
-        """Per-historical-snapshot relation probabilities ``p_t^r``."""
+    def _relation_probabilities(self, entity_list, relation_list, pairs: np.ndarray) -> Tensor:
+        """Stacked ``(T, B, M)`` per-historical-snapshot relation
+        probabilities ``p_t^r``."""
         if not self.config.time_variability:
             entity_list, relation_list = entity_list[-1:], relation_list[-1:]
         pairs = np.asarray(pairs, dtype=np.int64)
         m = self.config.num_relations
         with tracing.span("decoder", queries=len(pairs), snapshots=len(entity_list)):
-            if self.config.batched_decoder:
-                snaps = len(entity_list)
-                t_rows = np.arange(snaps)[:, None]
-                entities = F.stack(entity_list)  # (T, N, d)
-                relations = F.stack(relation_list)  # (T, 2M, d)
-                subj = entities[(t_rows, pairs[:, 0][None, :])]
-                obj = entities[(t_rows, pairs[:, 1][None, :])]
-                candidates = relations[(t_rows, np.arange(m)[None, :])]  # (T, M, d)
-                return self.relation_decoder.probabilities_multi(subj, obj, candidates)
-            probs = []
-            for entity, relation in zip(entity_list, relation_list):
-                subj = entity.gather_rows(pairs[:, 0])
-                obj = entity.gather_rows(pairs[:, 1])
-                probs.append(self.relation_decoder.probabilities(subj, obj, relation[:m]))
-        return probs
-
-    @staticmethod
-    def _sum_probs(probs: Union[Tensor, List[Tensor]]) -> np.ndarray:
-        if isinstance(probs, Tensor):  # stacked (T, B, C) from the fast path
-            return probs.data.sum(axis=0)
-        total = probs[0].data.copy()
-        for p in probs[1:]:
-            total += p.data
-        return total
+            t_rows = np.arange(len(entity_list))[:, None]
+            entities = F.stack(entity_list)  # (T, N, d)
+            relations = F.stack(relation_list)  # (T, 2M, d)
+            subj = entities[(t_rows, pairs[:, 0][None, :])]
+            obj = entities[(t_rows, pairs[:, 1][None, :])]
+            candidates = relations[(t_rows, np.arange(m)[None, :])]  # (T, M, d)
+            return self.relation_decoder.probabilities_multi(subj, obj, candidates)
 
     # ------------------------------------------------------------------
     # ExtrapolationModel contract

@@ -591,7 +591,8 @@ class OnlineAdapter:
     paper's online continuous-training protocol.  Each step runs under
     the same non-finite sentinel as general training: a poisoned
     snapshot is recorded but its gradient step is skipped, with the
-    skip counted on :attr:`nonfinite_skips`.
+    skip counted on :attr:`nonfinite_skips`; the steps actually taken
+    are counted on :attr:`steps_taken`.
     """
 
     def __init__(
@@ -607,6 +608,7 @@ class OnlineAdapter:
         self.reporter = reporter
         self.fault_injector = fault_injector
         self.observed = 0
+        self.steps_taken = 0
         self.optimizer = Adam(model.parameters(), lr=config.online_lr)
         sentinel = (resilience or ResilienceConfig()).sentinel_config()
         self.guard = NonFiniteGuard(self.optimizer, sentinel)
@@ -657,6 +659,7 @@ class OnlineAdapter:
             if self.guard.guarded_step(joint, self.config.grad_clip):
                 self.model.mark_updated()
                 stepped += 1
+        self.steps_taken += stepped
         self.model.eval()
         self.model.record_snapshot(snapshot)
         if self.reporter is not None:

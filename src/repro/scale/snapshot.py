@@ -145,9 +145,9 @@ def query_reps(
 def score_entities(model, snapshot: EmbeddingSnapshot, queries, scorer=None) -> np.ndarray:
     """Summed candidate probabilities ``(B, N)`` for ``(s, r)`` queries.
 
-    ``scorer=None`` runs the model's legacy decode
-    (``_entity_probabilities`` then ``_sum_probs``) over the frozen
-    stacks — the exact arithmetic of ``RETIA.predict_entities``.  A
+    ``scorer=None`` runs the model's legacy decode (the stacked
+    ``_entity_probabilities`` summed over its snapshot axis) over the
+    frozen stacks — the exact arithmetic of ``RETIA.predict_entities``.  A
     :class:`~repro.scale.scorers.CandidateScorer` (or spec string) takes
     the query representations from :func:`query_reps` and streams
     candidate scoring through the strategy, which keeps memory bounded
@@ -159,7 +159,7 @@ def score_entities(model, snapshot: EmbeddingSnapshot, queries, scorer=None) -> 
         entity_list, relation_list = snapshot.tensors()
         with _eval_mode(model), no_grad(), model._dtype_policy:
             probs = model._entity_probabilities(entity_list, relation_list, queries)
-        return model._sum_probs(probs)
+        return probs.data.sum(axis=0)
     reps = query_reps(
         model, model.entity_decoder, snapshot.entity_list, snapshot.relation_list, queries
     )
@@ -231,7 +231,7 @@ def score_relations(model, snapshot: EmbeddingSnapshot, pairs, scorer=None) -> n
         entity_list, relation_list = snapshot.tensors()
         with _eval_mode(model), no_grad(), model._dtype_policy:
             probs = model._relation_probabilities(entity_list, relation_list, pairs)
-        return model._sum_probs(probs)
+        return probs.data.sum(axis=0)
     reps = query_reps(
         model, model.relation_decoder, snapshot.entity_list, snapshot.entity_list, pairs
     )

@@ -90,10 +90,6 @@ class ServeConfig:
     breaker_failure_threshold: int = 3
     breaker_recovery_ms: float = 500.0
     breaker_half_open_probes: int = 1
-    #: online continuous training applied per accepted ingest batch.
-    online_steps: int = 1
-    online_lr: float = 1e-3
-    grad_clip: float = 1.0
     seed: int = 0
     #: SLO burn-rate alerting (repro.obs.slo): objectives plus the
     #: shared window/threshold geometry.  Windows are in seconds.
@@ -689,6 +685,7 @@ class ModelServer:
                     breaker_state=self.breaker.state,
                 )
             skips_before = self.adapter.nonfinite_skips
+            steps_before = self.adapter.steps_taken
             try:
                 self.adapter.observe(snapshot)
             except ValueError as exc:
@@ -727,7 +724,7 @@ class ModelServer:
             kind="ingest",
             staleness=staleness,
             latency_ms=1000.0 * (self.clock() - started),
-            steps=self.config.online_steps if skips == 0 else 0,
+            steps=self.adapter.steps_taken - steps_before,
             skips=skips,
             breaker_state=self.breaker.state,
         )

@@ -346,7 +346,7 @@ def test_real_cell_benchmark_through_the_cli(tmp_path, capsys):
     assert main(argv + ["--history", str(history), "--gate"]) == 0
     (entry,) = read_history(str(history))
     assert entry["name"] == "cell" and entry["dtype"] == "float64"
-    assert entry["cell_seconds_per_step"] > 0 and entry["speedup"] > 0
+    assert entry["cell_seconds_per_step"] > 0
     assert "this run seeds it" in capsys.readouterr().out
 
 

@@ -51,6 +51,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             RETIAConfig(5, 2, history_length=0)
 
+    @pytest.mark.parametrize("size", [0, -1])
+    @pytest.mark.parametrize("field", ["num_entities", "num_relations", "dim", "num_kernels"])
+    def test_degenerate_sizes_rejected(self, field, size):
+        sizes = dict(num_entities=5, num_relations=2, dim=8, num_kernels=4)
+        sizes[field] = size
+        with pytest.raises(ValueError, match=field):
+            RETIAConfig(**sizes)
+
 
 class TestEvolve:
     def test_shapes_per_step(self):

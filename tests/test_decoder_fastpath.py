@@ -1,8 +1,8 @@
 """Decoder fast path and precision policy.
 
-Covers the PR's claims head on: the batched time-variability Conv-TransE
-decode is *bit-identical* to the per-snapshot reference loop (losses,
-gradients and predictions), float32 models train to the same place as
+The batched time-variability Conv-TransE decode is *bit-identical* to
+the per-snapshot loop in ``tests/oracles/decoder.py`` (losses and
+predictions; gradients to accumulation order), float32 models train to the same place as
 float64 within tolerance, the dtype survives a RunState round-trip (and
 a cross-dtype resume fails loudly), the stacked ``nll_of_summed_probs``
 matches the sequential sum, the logits-space BCE stays exact at extreme
@@ -23,6 +23,7 @@ from repro.graph import TemporalKG
 from repro.nn.layers import Dropout, RReLU
 from repro.nn.losses import binary_cross_entropy_with_logits, nll_of_summed_probs
 from repro.resilience import ResilienceConfig, RunState, RunStateError
+from tests.oracles import decoder
 
 
 def tiny_graph():
@@ -75,13 +76,22 @@ def make_trainer(model, *, checkpoint_dir=None, epochs=1):
 
 
 # ----------------------------------------------------------------------
-# Batched decode is bit-identical to the per-snapshot reference loop
+# Batched decode is bit-identical to the per-snapshot oracle loop
 # ----------------------------------------------------------------------
+def on_oracle(method, *args):
+    """Call ``method`` with the per-snapshot decode oracle installed."""
+    with pytest.MonkeyPatch.context() as mp:
+        decoder.install(mp)
+        return method(*args)
+
+
 class TestBatchedVsLoop:
     def _pair(self, **overrides):
+        # Two identically seeded models: ``batched`` decodes on the
+        # production path, ``loop`` is only ever called via on_oracle.
         graph = tiny_graph()
-        batched = make_model(batched_decoder=True, **overrides)
-        loop = make_model(batched_decoder=False, **overrides)
+        batched = make_model(**overrides)
+        loop = make_model(**overrides)
         for model in (batched, loop):
             model.set_history(graph)
         return graph, batched, loop
@@ -89,7 +99,8 @@ class TestBatchedVsLoop:
     def test_losses_bitwise_equal(self):
         graph, batched, loop = self._pair()
         target = graph.snapshot(3)
-        for a, b in zip(batched.loss_on_snapshot(target), loop.loss_on_snapshot(target)):
+        fast = batched.loss_on_snapshot(target)
+        for a, b in zip(fast, on_oracle(loop.loss_on_snapshot, target)):
             np.testing.assert_array_equal(a.data, b.data)
 
     def test_gradients_match_to_accumulation_order(self):
@@ -99,7 +110,7 @@ class TestBatchedVsLoop:
         graph, batched, loop = self._pair(dtype="float64")
         target = graph.snapshot(3)
         batched.loss_on_snapshot(target)[0].backward()
-        loop.loss_on_snapshot(target)[0].backward()
+        on_oracle(loop.loss_on_snapshot, target)[0].backward()
         loop_grads = dict(loop.named_parameters())
         for name, param in batched.named_parameters():
             other = loop_grads[name].grad
@@ -116,10 +127,10 @@ class TestBatchedVsLoop:
         pairs = np.array([[0, 1], [1, 2], [3, 4]])
         np.testing.assert_array_equal(
             batched.eval().predict_entities(queries, 3),
-            loop.eval().predict_entities(queries, 3),
+            on_oracle(loop.eval().predict_entities, queries, 3),
         )
         np.testing.assert_array_equal(
-            batched.predict_relations(pairs, 3), loop.predict_relations(pairs, 3)
+            batched.predict_relations(pairs, 3), on_oracle(loop.predict_relations, pairs, 3)
         )
 
     def test_holds_in_train_mode_with_dropout(self):
@@ -129,7 +140,7 @@ class TestBatchedVsLoop:
         target = graph.snapshot(3)
         np.testing.assert_array_equal(
             batched.loss_on_snapshot(target)[0].data,
-            loop.loss_on_snapshot(target)[0].data,
+            on_oracle(loop.loss_on_snapshot, target)[0].data,
         )
 
     def test_holds_without_time_variability(self):
@@ -137,7 +148,7 @@ class TestBatchedVsLoop:
         target = graph.snapshot(3)
         np.testing.assert_array_equal(
             batched.loss_on_snapshot(target)[0].data,
-            loop.loss_on_snapshot(target)[0].data,
+            on_oracle(loop.loss_on_snapshot, target)[0].data,
         )
 
     def test_holds_under_float32(self):
@@ -145,7 +156,7 @@ class TestBatchedVsLoop:
         target = graph.snapshot(3)
         np.testing.assert_array_equal(
             batched.loss_on_snapshot(target)[0].data,
-            loop.loss_on_snapshot(target)[0].data,
+            on_oracle(loop.loss_on_snapshot, target)[0].data,
         )
 
 

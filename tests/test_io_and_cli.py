@@ -1,5 +1,6 @@
 """Tests for checkpoint/TSV persistence and the CLI."""
 
+import dataclasses
 import json
 import os
 
@@ -34,6 +35,27 @@ class TestCheckpoint:
         rebuilt.load_state_dict(state)
         np.testing.assert_array_equal(
             rebuilt.entity_embedding.data, model.entity_embedding.data
+        )
+
+    def test_blob_with_retired_switches_loads_onto_the_one_path(self, tmp_path):
+        # Checkpoints written by the reference-path CI leg carry
+        # fused_cells/batched_decoder = false in their config blob.
+        config = RETIAConfig(num_entities=4, num_relations=2, dim=8, num_kernels=4)
+        model = RETIA(config)
+        blob = dict(dataclasses.asdict(config), fused_cells=False, batched_decoder=False)
+        path = str(tmp_path / "old.npz")
+        save_checkpoint(path, model.state_dict(), blob)
+        state, config_dict = load_checkpoint(path)
+        assert config_dict["fused_cells"] is False
+        rebuilt = RETIA(RETIAConfig(**config_dict))
+        rebuilt.load_state_dict(state)
+        assert rebuilt.config == config
+        queries = np.array([[0, 0], [1, 1], [2, 2], [3, 3]])
+        for m in (model, rebuilt):
+            m.set_history(tiny_graph())
+            m.eval()
+        np.testing.assert_array_equal(
+            rebuilt.predict_entities(queries, 3), model.predict_entities(queries, 3)
         )
 
     def test_config_optional(self, tmp_path):

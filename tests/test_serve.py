@@ -100,11 +100,11 @@ def revealed_model(train, valid, seed=0):
     return model
 
 
-def make_server(splits, reporter=None, fault_injector=None, **overrides):
+def make_server(splits, reporter=None, fault_injector=None, online_steps=1, **overrides):
     train, valid, _ = splits
     model = revealed_model(train, valid)
     adapter = OnlineAdapter(
-        model, TrainerConfig(online_steps=1, online_lr=1e-3, seed=0)
+        model, TrainerConfig(online_steps=online_steps, online_lr=1e-3, seed=0)
     )
     knobs = dict(
         max_batch=8,
@@ -524,6 +524,28 @@ class TestModelServer:
                 time.sleep(0.005)
             assert server.store.staleness == 0
             assert server.store.describe()["ts"] == ts + 1
+        finally:
+            assert server.drain()
+
+    def test_ingest_reports_the_steps_the_adapter_took(self, splits):
+        # The adapter's own TrainerConfig sets the step count, and an
+        # empty snapshot is recorded without a step.
+        _, _, test = splits
+        server = make_server(splits, online_steps=3)
+        try:
+            ts = int(test.timestamps[0])
+            server.start(ts=ts)
+            response = server.ingest(test.snapshot(ts))
+            assert response.ok and response.skips == 0
+            assert response.steps == 3
+            assert server.adapter.steps_taken == 3
+            snapshot = test.snapshot(ts)
+            empty = Snapshot(
+                np.zeros((0, 3)), snapshot.num_entities, snapshot.num_relations, ts=ts + 1
+            )
+            response = server.ingest(empty)
+            assert response.ok and response.steps == 0
+            assert server.adapter.steps_taken == 3
         finally:
             assert server.drain()
 
