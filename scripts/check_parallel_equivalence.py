@@ -4,10 +4,10 @@
 Four checks, each against the repo's determinism contract (DESIGN.md,
 "Parallel determinism"):
 
-1. **Sharded evaluation equivalence** — ``evaluate_extrapolation_sharded``
-   and ``diagnose_extrapolation_sharded`` at every probed worker count
-   must produce *exactly* the summaries/decompositions of the serial
-   drivers (``==`` on every float; no tolerance).
+1. **Sharded evaluation equivalence** — ``evaluate_extrapolation`` and
+   ``diagnose_extrapolation`` at every probed worker count must produce
+   *exactly* the summaries/decompositions of the ``workers=1``
+   sequential replay (``==`` on every float; no tolerance).
 2. **Data-parallel training equivalence** — with a fixed ``grad_shards``
    plan, training at every probed ``train_workers`` count must produce
    identical per-epoch loss logs and an identical
@@ -48,7 +48,6 @@ from repro.core import RETIA, RETIAConfig, Trainer, TrainerConfig
 from repro.datasets import load_dataset
 from repro.eval import diagnose_extrapolation, evaluate_extrapolation, known_entities_of
 from repro.obs import MetricsRegistry
-from repro.parallel import diagnose_extrapolation_sharded, evaluate_extrapolation_sharded
 from repro.resilience import FaultInjector, ResilienceConfig, SimulatedCrash
 
 
@@ -82,12 +81,12 @@ def check_eval_equivalence(dataset, worker_counts, seed: int) -> bool:
     ).to_dict()
     ok = True
     for workers in worker_counts:
-        sharded = evaluate_extrapolation_sharded(
+        sharded = evaluate_extrapolation(
             revealed_model(dataset, seed), dataset.test, workers=workers
         )
         agg_match = sharded.entity == serial.entity and sharded.relation == serial.relation
         diag_match = (
-            diagnose_extrapolation_sharded(
+            diagnose_extrapolation(
                 revealed_model(dataset, seed),
                 dataset.test,
                 known_entities=known,

@@ -46,13 +46,13 @@ def check_rank_identity(
 ) -> list:
     """Entity metrics must be exactly equal across ``strategies`` at ``dtype``."""
     from repro.bench.runner import revealed_model
-    from repro.parallel import evaluate_extrapolation_sharded
+    from repro.eval import evaluate_extrapolation
 
     metrics = {}
     for spec in strategies:
         dataset, model = revealed_model("ICEWS14", seed=seed, dtype=dtype)
         model.set_scorer(None if spec == "legacy" else spec)
-        result = evaluate_extrapolation_sharded(
+        result = evaluate_extrapolation(
             model, dataset.test, evaluate_relations=False, workers=1
         )
         metrics[spec] = result.entity

@@ -48,6 +48,7 @@ from repro.bench.runner import (
     revealed_model,
 )
 from repro.core import RETIA
+from repro.eval import evaluate_extrapolation
 from repro.obs import MetricsRegistry, tracing
 
 #: The committed budgets, one entry per benchmark that has one.  Read
@@ -101,16 +102,22 @@ def _timed_training_steps(model, snapshots, per_step_sleep: float) -> Tuple[floa
 
 
 def _slow_ranking(model, per_step_sleep: float) -> None:
-    """Sleep before every ranking call: the injected-fault drill."""
+    """Sleep before every ranking call: the injected-fault drill.
+
+    The protocol ranks through ``rank_entities`` when the model has a
+    scorer and through ``predict_entities`` otherwise; only one of the
+    two runs per timestamp, so wrapping both sleeps once either way.
+    """
     if per_step_sleep <= 0:
         return
-    inner = model.rank_entities
+    for name in ("rank_entities", "predict_entities"):
+        inner = getattr(model, name)
 
-    def slowed(*args, **kwargs):
-        time.sleep(per_step_sleep)
-        return inner(*args, **kwargs)
+        def slowed(*args, _inner=inner, **kwargs):
+            time.sleep(per_step_sleep)
+            return _inner(*args, **kwargs)
 
-    model.rank_entities = slowed
+        setattr(model, name, slowed)
 
 
 def measure_encoder(
@@ -300,7 +307,7 @@ def measure_eval(
 ) -> Dict:
     """Time the full evaluation protocol at a given worker count.
 
-    Runs :func:`~repro.parallel.evaluate_extrapolation_sharded` over the
+    Runs :func:`~repro.eval.evaluate_extrapolation` over the
     test split (``observe=True``, both tasks) against an untrained
     :func:`~repro.bench.runner.revealed_model` — scoring cost depends on
     history shape and embedding sizes, not parameter values — and
@@ -311,12 +318,10 @@ def measure_eval(
     win" from "no parallel hardware".  ``per_step_sleep`` sleeps before
     every ranking call inside the workers.
     """
-    from repro.parallel import evaluate_extrapolation_sharded
-
     dataset, model = revealed_model(dataset_name, seed=seed, dtype=dtype)
     _slow_ranking(model, per_step_sleep)
     start = time.perf_counter()
-    result_eval = evaluate_extrapolation_sharded(
+    result_eval = evaluate_extrapolation(
         model, dataset.test, workers=workers, registry=registry
     )
     total = time.perf_counter() - start
@@ -381,7 +386,6 @@ def measure_scale(
     Relation-task scoring is skipped: its candidate axis is M, not N,
     and it would only add encoder-shaped noise to an entity-axis gate.
     """
-    from repro.parallel import evaluate_extrapolation_sharded
     from repro.scale import FrozenWindowModel, get_scorer
 
     dataset, model = revealed_model(dataset_name, seed=seed, dtype=dtype)
@@ -396,7 +400,7 @@ def measure_scale(
         _slow_ranking(frozen, per_step_sleep)
 
         start = time.perf_counter()
-        result_eval = evaluate_extrapolation_sharded(
+        result_eval = evaluate_extrapolation(
             frozen,
             dataset.test,
             evaluate_relations=False,

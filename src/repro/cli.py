@@ -48,7 +48,12 @@ from repro.datasets import (
     dataset_statistics,
     load_dataset,
 )
-from repro.eval import format_diagnostics, known_entities_of
+from repro.eval import (
+    diagnose_extrapolation,
+    evaluate_extrapolation,
+    format_diagnostics,
+    known_entities_of,
+)
 from repro.graph import build_hyperrelation_graph
 from repro.io import load_checkpoint, save_checkpoint
 from repro.obs import (
@@ -68,6 +73,7 @@ from repro.resilience import (
     TrainingInterrupted,
     flip_bit,
 )
+from repro.scale import get_scorer
 
 
 def _add_dataset_argument(parser: argparse.ArgumentParser) -> None:
@@ -93,17 +99,24 @@ def cmd_datasets(args: argparse.Namespace) -> int:
     return 0
 
 
+class UsageError(ValueError):
+    """A bad option value: :func:`main` prints one line and exits 2."""
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset)
-    config = RETIAConfig(
-        num_entities=dataset.num_entities,
-        num_relations=dataset.num_relations,
-        dim=args.dim,
-        history_length=args.history,
-        num_kernels=args.kernels,
-        seed=args.seed,
-        dtype=args.dtype,
-    )
+    try:
+        config = RETIAConfig(
+            num_entities=dataset.num_entities,
+            num_relations=dataset.num_relations,
+            dim=args.dim,
+            history_length=args.history,
+            num_kernels=args.kernels,
+            seed=args.seed,
+            dtype=args.dtype,
+        )
+    except ValueError as exc:
+        raise UsageError(exc) from None
     if args.resume and not args.checkpoint_dir:
         print("--resume requires --checkpoint-dir", file=sys.stderr)
         return 2
@@ -153,8 +166,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_scorer(args: argparse.Namespace):
+    """``--scorer`` as a strategy (``None``: legacy); a bad spec is a usage error."""
+    try:
+        return get_scorer(getattr(args, "scorer", None))
+    except ValueError as exc:
+        raise UsageError(exc) from None
+
+
 def _load_eval_model(args: argparse.Namespace):
     """Rebuild a checkpointed model with train+valid history revealed."""
+    scorer = _parse_scorer(args)
     dataset = load_dataset(args.dataset)
     state, config_dict = load_checkpoint(args.checkpoint)
     if config_dict is None:
@@ -170,8 +192,7 @@ def _load_eval_model(args: argparse.Namespace):
     for t in dataset.valid.timestamps:
         model.observe(dataset.valid.snapshot(int(t)))
     model.eval()
-    if getattr(args, "scorer", None):
-        model.set_scorer(args.scorer)
+    model.set_scorer(scorer)
     return dataset, model
 
 
@@ -206,11 +227,7 @@ def _close_eval_report(reporter, status: str) -> None:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    from repro.parallel import (
-        ShardedEvalError,
-        diagnose_extrapolation_sharded,
-        evaluate_extrapolation_sharded,
-    )
+    from repro.parallel import ShardedEvalError
 
     dataset, model = _load_eval_model(args)
     if model is None:
@@ -226,10 +243,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if args.diagnostics:
             # The diagnostic decomposition runs the identical protocol
             # (same queries, pooled directions, observe-as-you-go), so
-            # it replaces — not repeats — the aggregate pass.  The
-            # sharded driver is bit-identical at every worker count, so
-            # workers=1 routes through the same code path.
-            report = diagnose_extrapolation_sharded(
+            # it replaces — not repeats — the aggregate pass.
+            report = diagnose_extrapolation(
                 target,
                 dataset.test,
                 known_entities=known_entities_of(dataset.train, dataset.valid),
@@ -238,7 +253,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             )
             entity, relation = report.aggregate, report.relation_aggregate
         else:
-            result = evaluate_extrapolation_sharded(
+            result = evaluate_extrapolation(
                 target, dataset.test, workers=args.eval_workers, reporter=reporter
             )
             entity, relation = result.entity, result.relation
@@ -257,7 +272,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     """Per-relation / per-timestamp / seen-unseen evaluation diagnostics."""
-    from repro.parallel import ShardedEvalError, diagnose_extrapolation_sharded
+    from repro.parallel import ShardedEvalError
 
     dataset, model = _load_eval_model(args)
     if model is None:
@@ -265,7 +280,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     reporter = _open_eval_report(args, "diagnose")
     status = "failed"
     try:
-        report = diagnose_extrapolation_sharded(
+        report = diagnose_extrapolation(
             model,
             dataset.test,
             known_entities=known_entities_of(dataset.train, dataset.valid),
@@ -312,6 +327,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if unused:
         print(f"FAIL: --component {spec.name} does not take {', '.join(unused)}", file=sys.stderr)
         return 2
+    _parse_scorer(args)
     entries = read_history(args.history) if args.history else None
     registry = MetricsRegistry()
     results = []
@@ -1140,7 +1156,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except UsageError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

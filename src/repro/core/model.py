@@ -85,7 +85,7 @@ class RETIAConfig:
     fused_cells: bool = True
 
     def __post_init__(self):
-        for name in ("num_entities", "num_relations", "dim", "num_kernels"):
+        for name in ("num_entities", "num_relations", "dim", "num_kernels", "history_length"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.relation_mode not in RELATION_MODES:
@@ -94,8 +94,6 @@ class RETIAConfig:
             raise ValueError(f"hyper_mode must be one of {HYPER_MODES}")
         if not 0.0 <= self.lambda_entity <= 1.0:
             raise ValueError("lambda_entity must be in [0, 1]")
-        if self.history_length < 1:
-            raise ValueError("history_length must be >= 1")
         # Normalise (and validate) to the canonical dtype name so config
         # equality and checkpoint round-trips are exact.
         object.__setattr__(self, "dtype", resolve_dtype(self.dtype).name)
@@ -447,16 +445,15 @@ class RETIA(Module):
     ) -> np.ndarray:
         """Average-tie gold ranks for entity queries at timestamp ``ts``.
 
-        The seam the evaluation protocol ranks through.  Without a
-        configured scorer this *is* the historical protocol code —
-        dedup, the dense decode of :meth:`predict_entities`, scatter,
-        :func:`~repro.eval.metrics.ranks_from_scores` — bit for bit.
-        With one, the strategy streams candidate scoring, so the full
-        ``(B, N)`` score matrix need never exist; a history-candidate
-        scorer indexes the full reveal stream (:meth:`revealed_before`),
-        not the encoder's last-k window.  ``mask`` uses the
-        filtered-setting convention: ``True`` excludes a candidate,
-        targets never are.
+        The seam the evaluation protocol ranks through once a scorer is
+        configured (:meth:`set_scorer`); without one it raises
+        ``ValueError`` and the protocol ranks the dense
+        :meth:`predict_entities` scores itself.  The strategy streams
+        candidate scoring, so the full ``(B, N)`` score matrix need
+        never exist; a history-candidate scorer indexes the full reveal
+        stream (:meth:`revealed_before`), not the encoder's last-k
+        window.  ``mask`` uses the filtered-setting convention: ``True``
+        excludes a candidate, targets never are.
         """
         return frozen_window.rank_entities(
             self,

@@ -28,9 +28,9 @@ from typing import Dict, List, Optional, Set
 import numpy as np
 
 from repro.eval.filters import FilterIndex
-from repro.eval.interface import ExtrapolationModel
+from repro.eval.interface import ExtrapolationModel, scorer_spec
 from repro.eval.metrics import RankAccumulator
-from repro.eval.protocol import TimestampScores, score_timestamp
+from repro.eval.protocol import DEFAULT_SHARD_TIMEOUT, TimestampScores
 from repro.graph import TemporalKG
 
 
@@ -105,9 +105,8 @@ class DiagnosticsAccumulators:
     """The mutable accumulator state behind :func:`diagnose_extrapolation`.
 
     One :meth:`update` per scored timestamp, **in chronological order**,
-    reproduces the serial accumulation float-for-float — which is
-    exactly how :func:`repro.parallel.eval.diagnose_extrapolation_sharded`
-    replays worker-scored timestamps into a bit-identical report.
+    gives the same float-accumulation chain whichever worker scored
+    each timestamp, so the report is bit-identical across worker counts.
     """
 
     def __init__(self, known_entities: Optional[Set[int]], num_entities: int):
@@ -162,29 +161,6 @@ def _bounded() -> RankAccumulator:
     return RankAccumulator(bounded=True)
 
 
-def emit_diagnostic_event(
-    reporter, report: DiagnosticsReport, scorer: str = "dense"
-) -> None:
-    """One schema-validated ``diagnostic`` event for ``report``.
-
-    ``scorer`` records the candidate-scoring strategy the ranks came
-    from; ``check_run_health.py`` refuses runs whose events mix
-    strategies (approximate ranks must never be compared to exact ones).
-    """
-    reporter.emit(
-        "diagnostic",
-        task="entity",
-        setting=report.setting,
-        aggregate=report.aggregate,
-        relations={str(k): v for k, v in report.per_relation.items()},
-        timestamps={str(k): v for k, v in report.per_timestamp.items()},
-        seen=report.seen,
-        unseen=report.unseen,
-        relation_aggregate=report.relation_aggregate,
-        scorer=scorer,
-    )
-
-
 def diagnose_extrapolation(
     model: ExtrapolationModel,
     test_graph: TemporalKG,
@@ -193,48 +169,58 @@ def diagnose_extrapolation(
     observe: bool = True,
     known_entities: Optional[Set[int]] = None,
     evaluate_relations: bool = True,
+    workers: int = 1,
     reporter=None,
+    registry=None,
+    shard_timeout: Optional[float] = DEFAULT_SHARD_TIMEOUT,
 ) -> DiagnosticsReport:
     """Run the evaluation protocol, decomposed along diagnostic axes.
 
     Mirrors :func:`~repro.eval.evaluate_extrapolation` (same queries,
-    both entity directions, same filtering and online-observe
-    semantics) but groups every entity rank by relation id, test
-    timestamp and seen/unseen gold entity.  ``known_entities`` is the
-    id set revealed before the test period (train + validation);
+    both entity directions, same filtering, online-observe and
+    ``workers`` semantics) but groups every entity rank by relation id,
+    test timestamp and seen/unseen gold entity.  ``known_entities`` is
+    the id set revealed before the test period (train + validation);
     without it the seen/unseen split is skipped.  A
-    :class:`~repro.obs.RunReporter` passed as ``reporter`` receives one
-    schema-validated ``diagnostic`` event with the full decomposition.
+    :class:`~repro.obs.RunReporter` passed as ``reporter`` receives the
+    ``worker`` events and one schema-validated ``diagnostic`` event
+    with the full decomposition.
     """
-    if setting != "raw" and filter_index is None:
-        raise ValueError("filtered settings need a FilterIndex over the full graph")
+    # Imported here, since repro.parallel imports the trainer, which
+    # imports this package; ``_score_all`` is looked up per call, so a
+    # wrapper installed on the walker module sees every evaluation.
+    from repro.parallel import eval as walker
 
+    scored, telemetry = walker._score_all(
+        model,
+        test_graph,
+        setting,
+        filter_index,
+        evaluate_relations,
+        observe,
+        workers,
+        dedup=False,
+        shard_timeout=shard_timeout,
+    )
+    walker._emit_worker_telemetry(telemetry, reporter=reporter, registry=registry)
     accumulators = DiagnosticsAccumulators(known_entities, test_graph.num_entities)
-
-    for ts in test_graph.timestamps:
-        snapshot = test_graph.snapshot(int(ts))
-        scored = score_timestamp(
-            model,
-            snapshot,
-            test_graph.num_relations,
-            setting=setting,
-            filter_index=filter_index,
-            evaluate_relations=evaluate_relations,
-            dedup=False,
-        )
-        if scored is None:
-            continue
-        accumulators.update(scored)
-        if observe:
-            model.observe(snapshot)
-
+    for entry in scored:
+        accumulators.update(entry)
     report = accumulators.report(setting, evaluate_relations)
     if reporter is not None:
-        model_scorer = getattr(model, "scorer", None)
-        emit_diagnostic_event(
-            reporter,
-            report,
-            scorer=model_scorer.spec() if model_scorer is not None else "dense",
+        # The scorer spec lets check_run_health.py refuse runs whose
+        # events mix strategies (approximate ranks never meet exact ones).
+        reporter.emit(
+            "diagnostic",
+            task="entity",
+            setting=report.setting,
+            aggregate=report.aggregate,
+            relations={str(k): v for k, v in report.per_relation.items()},
+            timestamps={str(k): v for k, v in report.per_timestamp.items()},
+            seen=report.seen,
+            unseen=report.unseen,
+            relation_aggregate=report.relation_aggregate,
+            scorer=scorer_spec(model),
         )
     return report
 

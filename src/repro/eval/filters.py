@@ -14,6 +14,9 @@ import numpy as np
 
 from repro.graph import TemporalKG
 
+#: The evaluation settings: raw ranking (the paper's) and the two filters.
+SETTINGS = ("raw", "static", "time")
+
 
 class FilterIndex:
     """Known-true-fact index used to build filter masks.
@@ -43,7 +46,7 @@ class FilterIndex:
         """
         if setting == "raw":
             return None
-        if setting not in ("static", "time"):
+        if setting not in SETTINGS:
             raise ValueError(f"unknown filter setting {setting!r}")
         queries = np.asarray(queries, dtype=np.int64)
         mask = np.zeros((len(queries), self.num_entities), dtype=bool)

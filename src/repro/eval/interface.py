@@ -45,3 +45,15 @@ class ExtrapolationModel(Protocol):
         them entirely).
         """
         ...
+
+
+def scorer_spec(model) -> str:
+    """The candidate-scorer spec a model's ranks come from, for telemetry.
+
+    The legacy matmul path (no scorer configured) reports as
+    ``"dense"`` — it scores every candidate exactly, same contract as
+    the seam's dense reference.  ``check_run_health.py`` refuses runs
+    that mix distinct specs, so every eval event must carry one.
+    """
+    scorer = getattr(model, "scorer", None)
+    return scorer.spec() if scorer is not None else "dense"

@@ -125,21 +125,6 @@ class RankAccumulator:
             return np.zeros(0)
         return np.concatenate(self._ranks)
 
-    def merge(self, other: "RankAccumulator") -> None:
-        """Fold another accumulator (same hits/buckets) into this one."""
-        if self.hits_at != other.hits_at or self.bucket_edges != other.bucket_edges:
-            raise ValueError("cannot merge accumulators with different settings")
-        self._count += other._count
-        self._inv_sum += other._inv_sum
-        self._rank_sum += other._rank_sum
-        for k in self.hits_at:
-            self._hits[k] += other._hits[k]
-        self._bucket_counts += other._bucket_counts
-        if not self.bounded:
-            if other.bounded:
-                raise ValueError("cannot merge a bounded accumulator into a raw one")
-            self._ranks.extend(other._ranks)
-
     def histogram(self) -> List[dict]:
         """Cumulative per-bucket counts (``le`` edges, last is +inf)."""
         cumulative = np.cumsum(self._bucket_counts)

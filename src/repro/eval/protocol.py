@@ -12,6 +12,12 @@ from repro.eval.interface import ExtrapolationModel
 from repro.eval.metrics import RankAccumulator, ranks_from_scores
 from repro.graph import Snapshot, TemporalKG
 
+#: Default ceiling on one pool block's wall-clock.  A SIGKILLed pool
+#: worker loses its task without any notification to the parent —
+#: ``Pool.map`` would wait forever — so every block result is collected
+#: with a timeout and re-raised as a diagnosable ``ShardedEvalError``.
+DEFAULT_SHARD_TIMEOUT = 300.0
+
 
 @dataclass
 class EvaluationResult:
@@ -63,7 +69,10 @@ def score_timestamp(
     convention); ``dedup=False`` scores every row directly (the
     diagnostics convention).  The two produce equal score *values* but
     feed differently-shaped batches to the model, so bit-exact
-    equivalence claims must hold the flag fixed.
+    equivalence claims must hold the flag fixed.  A model with a
+    configured ``scorer`` ranks entities through its ``rank_entities``
+    seam; every other model is scored densely through
+    ``predict_entities``.
 
     Returns ``None`` for an empty timestamp (nothing to rank).
     """
@@ -83,12 +92,11 @@ def score_timestamp(
         mask = None
     else:
         mask = filter_index.mask(queries, ts, setting)
-    if hasattr(model, "rank_entities"):
+    if getattr(model, "scorer", None) is not None:
         # The candidate-scorer seam (repro.scale): the model ranks the
         # gold entities itself, so a blocked/top-k strategy can stream
         # candidate scoring instead of materialising the (B, N) score
-        # matrix here.  Without a configured scorer this is the exact
-        # code below, bit for bit.
+        # matrix here.
         entity_ranks = model.rank_entities(queries, targets, ts, mask=mask, dedup=dedup)
     else:
         if dedup:
@@ -128,6 +136,10 @@ def evaluate_extrapolation(
     filter_index: Optional[FilterIndex] = None,
     evaluate_relations: bool = True,
     observe: bool = True,
+    workers: int = 1,
+    reporter=None,
+    registry=None,
+    shard_timeout: Optional[float] = DEFAULT_SHARD_TIMEOUT,
 ) -> EvaluationResult:
     """Run the paper's link-prediction protocol over a test graph.
 
@@ -148,29 +160,38 @@ def evaluate_extrapolation(
         Reveal each timestamp's facts to the model after scoring it
         (online continuous training).  Disable for strictly-offline runs
         (Fig. 8 ablation).
+    workers:
+        ``1`` scores and reveals in order in this process; more shard
+        the timestamps over a process pool with bit-identical metrics,
+        for models with a record-only ``observe``
+        (:mod:`repro.parallel.eval`).
+    reporter / registry:
+        Receive one ``worker`` event / metric series per worker block.
+    shard_timeout:
+        Seconds a pool block may take before a
+        :class:`~repro.parallel.ShardedEvalError` names it.
     """
-    if setting != "raw" and filter_index is None:
-        raise ValueError("filtered settings need a FilterIndex over the full graph")
+    # Imported here, since repro.parallel imports the trainer, which
+    # imports this module; ``_score_all`` is looked up per call, so a
+    # wrapper installed on the walker module sees every evaluation.
+    from repro.parallel import eval as walker
 
-    num_relations = test_graph.num_relations
+    scored, telemetry = walker._score_all(
+        model,
+        test_graph,
+        setting,
+        filter_index,
+        evaluate_relations,
+        observe,
+        workers,
+        dedup=True,
+        shard_timeout=shard_timeout,
+    )
+    walker._emit_worker_telemetry(telemetry, reporter=reporter, registry=registry)
     entity_acc = RankAccumulator()
     relation_acc = RankAccumulator()
-
-    for ts in test_graph.timestamps:
-        snapshot = test_graph.snapshot(int(ts))
-        scored = score_timestamp(
-            model,
-            snapshot,
-            num_relations,
-            setting=setting,
-            filter_index=filter_index,
-            evaluate_relations=evaluate_relations,
-        )
-        if scored is not None:
-            entity_acc.update(scored.entity_ranks)
-            if scored.relation_ranks is not None:
-                relation_acc.update(scored.relation_ranks)
-        if observe and len(snapshot.triples):
-            model.observe(snapshot)
-
+    for entry in scored:
+        entity_acc.update(entry.entity_ranks)
+        if entry.relation_ranks is not None:
+            relation_acc.update(entry.relation_ranks)
     return EvaluationResult(entity=entity_acc.summary(), relation=relation_acc.summary())

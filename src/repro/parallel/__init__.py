@@ -1,4 +1,4 @@
-"""Deterministic parallel execution: sharded eval, data-parallel training.
+"""Deterministic parallel execution: the eval walker, data-parallel training.
 
 The package-wide contract (see :mod:`repro.parallel.plan`): the math is
 defined by the shard plan, never by the execution — worker counts
@@ -9,7 +9,6 @@ moment or model fingerprint.
 from repro.parallel.eval import (
     DEFAULT_SHARD_TIMEOUT,
     ShardedEvalError,
-    diagnose_extrapolation_sharded,
     evaluate_extrapolation_sharded,
 )
 from repro.parallel.plan import (
@@ -28,7 +27,6 @@ __all__ = [
     "ShardedEvalError",
     "ShardedLoss",
     "derive_rng_states",
-    "diagnose_extrapolation_sharded",
     "evaluate_extrapolation_sharded",
     "reseed_generators",
     "shard_bounds",

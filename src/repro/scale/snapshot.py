@@ -17,7 +17,8 @@ large-vocabulary evaluation (:class:`~repro.scale.frozen.FrozenWindowModel`):
   then the decoder's stacked query pass;
 * :func:`score_entities` / :func:`rank_entities` /
   :func:`score_relations` are the one decode.  ``scorer=None`` keeps
-  the model's legacy batched matmul decode bit for bit; any
+  the model's legacy batched matmul decode bit for bit (scores only:
+  ranking always goes through a scorer); any
   :class:`~repro.scale.scorers.CandidateScorer` streams candidate
   scoring through the strategy instead.
 
@@ -178,19 +179,17 @@ def rank_entities(
 ) -> np.ndarray:
     """Average-tie gold ranks for entity queries against ``snapshot``.
 
-    Duplicate queries are decoded once (``dedup``).  ``scorer=None``
-    scores densely through ``model.predict_entities`` at the snapshot's
-    timestamp and counts with
-    :func:`~repro.eval.metrics.ranks_from_scores` — the historical
-    protocol code, bit for bit.  A scorer streams ranks without ever
-    materialising the ``(B, N)`` score matrix; one that
-    ``needs_history`` is first synced with ``revealed``, the full reveal
-    stream before the scored timestamp.  ``mask`` uses the
-    filtered-setting convention: ``True`` excludes a candidate, targets
-    never are.
+    Duplicate queries are decoded once (``dedup``).  The ``scorer``
+    streams ranks without ever materialising the ``(B, N)`` score
+    matrix; one that ``needs_history`` is first synced with
+    ``revealed``, the full reveal stream before the scored timestamp.
+    ``mask`` uses the filtered-setting convention: ``True`` excludes a
+    candidate, targets never are.  There is no scorer-less mode: the
+    protocol ranks a model without a scorer itself
+    (:func:`~repro.eval.protocol.score_timestamp`).
     """
-    from repro.eval.metrics import ranks_from_scores
-
+    if scorer is None:
+        raise ValueError("rank_entities needs a candidate scorer")
     queries = np.asarray(queries, dtype=np.int64)
     targets = np.asarray(targets, dtype=np.int64)
     if dedup:
@@ -199,11 +198,6 @@ def rank_entities(
         inverse = inverse.ravel()
     else:
         unique_queries, inverse = queries, None
-    if scorer is None:
-        scores = model.predict_entities(unique_queries, snapshot.ts)
-        if inverse is not None:
-            scores = scores[inverse]
-        return ranks_from_scores(scores, targets, mask)
     reps = query_reps(
         model, model.entity_decoder, snapshot.entity_list, snapshot.relation_list, unique_queries
     )

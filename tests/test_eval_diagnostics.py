@@ -86,81 +86,6 @@ class TestBoundedRankAccumulator:
         assert by_edge[100.0] == 4
         assert by_edge["+inf"] == 5
 
-    def test_merge_combines_both_modes(self):
-        a, b = RankAccumulator(bounded=True), RankAccumulator(bounded=True)
-        a.update(self.RANKS[:3])
-        b.update(self.RANKS[3:])
-        a.merge(b)
-        whole = RankAccumulator(bounded=True)
-        whole.update(self.RANKS)
-        assert a.summary() == whole.summary()
-
-    def test_ordered_merge_chain_replays_serial_accumulation_bitwise(self):
-        # The sharded-evaluation contract: one accumulator per shard,
-        # merged in shard order, must equal the serial update chain with
-        # zero tolerance — merging into an empty accumulator performs
-        # ``0.0 + x`` (bitwise ``x``), so both paths run the *same*
-        # float-addition sequence.  Awkward, non-representable ranks on
-        # purpose: the guarantee is order-of-operations, not luck.
-        rng = np.random.default_rng(3)
-        batches = [rng.integers(1, 5000, size=n).astype(np.float64) for n in (7, 1, 13, 4)]
-        serial = RankAccumulator()
-        merged = RankAccumulator()
-        for batch in batches:
-            serial.update(batch)
-            shard = RankAccumulator()
-            shard.update(batch)
-            merged.merge(shard)
-        assert merged.summary() == serial.summary()
-        assert merged.histogram() == serial.histogram()
-        np.testing.assert_array_equal(merged.ranks(), serial.ranks())
-
-    def test_merge_is_associative_and_order_invariant_on_exact_sums(self):
-        # Power-of-two reciprocals make every partial sum exactly
-        # representable, so associativity/commutativity must hold with
-        # == (0.0 tolerance), isolating the bookkeeping from float
-        # rounding.
-        parts = [np.array([1.0, 2.0]), np.array([4.0, 8.0]), np.array([2.0, 16.0])]
-
-        def folded(order, bracket_left):
-            accs = []
-            for index in order:
-                acc = RankAccumulator(bounded=True)
-                acc.update(parts[index])
-                accs.append(acc)
-            a, b, c = accs
-            if bracket_left:  # (a + b) + c
-                a.merge(b)
-                a.merge(c)
-                return a.summary()
-            b.merge(c)  # a + (b + c)
-            a.merge(b)
-            return a.summary()
-
-        reference = folded((0, 1, 2), bracket_left=True)
-        assert folded((0, 1, 2), bracket_left=False) == reference
-        assert folded((2, 0, 1), bracket_left=True) == reference
-        assert folded((1, 2, 0), bracket_left=False) == reference
-
-    def test_merge_rejects_mismatched_configurations(self):
-        base = RankAccumulator()
-        with pytest.raises(ValueError, match="different settings"):
-            base.merge(RankAccumulator(hits_at=(1, 5)))
-        with pytest.raises(ValueError, match="different settings"):
-            base.merge(RankAccumulator(bucket_edges=(1.0, 10.0)))
-        # A bounded accumulator folded into a raw one would silently
-        # drop its rank arrays — refused loudly instead.
-        bounded = RankAccumulator(bounded=True)
-        bounded.update(self.RANKS)
-        with pytest.raises(ValueError, match="bounded"):
-            base.merge(bounded)
-        # The reverse direction is fine: bounded absorbs raw sums.
-        absorber = RankAccumulator(bounded=True)
-        raw = RankAccumulator()
-        raw.update(self.RANKS)
-        absorber.merge(raw)
-        assert absorber.summary() == raw.summary()
-
     def test_log_spaced_edges_follow_1_2_3_5_pattern(self):
         edges = log_spaced_rank_edges(max_rank=100)
         assert edges[:8] == (1.0, 2.0, 3.0, 5.0, 10.0, 20.0, 30.0, 50.0)

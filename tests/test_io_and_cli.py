@@ -243,6 +243,31 @@ class TestCLI:
         assert main(["train", "--dataset", "YAGO", "--resume"]) == 2
         assert "--checkpoint-dir" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, option, named",
+        [
+            (["train"], ["--dim", "0"], "dim"),
+            (["train"], ["--kernels", "0"], "num_kernels"),
+            (["train"], ["--history", "0"], "history_length"),
+            (["evaluate", "--checkpoint", "absent.npz"], ["--scorer", "bogus"], "'bogus'"),
+            (["diagnose", "--checkpoint", "absent.npz"], ["--scorer", "bogus"], "'bogus'"),
+            (["bench", "--component", "scale", "--dry-run"], ["--scorer", "bogus"], "'bogus'"),
+        ],
+        ids=[
+            "train-dim",
+            "train-kernels",
+            "train-history",
+            "evaluate-scorer",
+            "diagnose-scorer",
+            "bench-scorer",
+        ],
+    )
+    def test_bad_size_or_scorer_is_a_usage_error(self, capsys, command, option, named):
+        assert main(command + ["--dataset", "YAGO"] + option) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert named in err[0]
+
     def test_drill_nan_loss(self, capsys):
         assert main(
             ["drill", "--dataset", "YAGO", "--fault", "nan-loss",

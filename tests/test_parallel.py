@@ -20,19 +20,21 @@ import pytest
 from repro.core import RETIA, RETIAConfig, Trainer, TrainerConfig
 from repro.datasets import SyntheticTKGConfig, generate_tkg
 from repro.eval import (
+    DiagnosticsAccumulators,
+    FilterIndex,
+    RankAccumulator,
     diagnose_extrapolation,
     evaluate_extrapolation,
     known_entities_of,
+    score_timestamp,
 )
-from repro.graph import Snapshot, SnapshotCache
+from repro.graph import Snapshot, SnapshotCache, TemporalKG
 from repro.obs import MetricsRegistry, RunReporter, read_events
 from repro.parallel import (
     GradShardExecutor,
     ShardedEvalError,
     ShardedLoss,
     derive_rng_states,
-    diagnose_extrapolation_sharded,
-    evaluate_extrapolation_sharded,
     reseed_generators,
     shard_bounds,
     shard_sequence,
@@ -75,6 +77,18 @@ def revealed_model(train, valid, seed=0):
 @pytest.fixture(scope="module")
 def splits():
     return small_dataset()
+
+
+def scored_in_order(model, graph, dedup):
+    """The protocol written out: score each timestamp, then reveal it."""
+    scored = []
+    for ts in graph.timestamps:
+        snapshot = graph.snapshot(int(ts))
+        entry = score_timestamp(model, snapshot, graph.num_relations, dedup=dedup)
+        if entry is not None:
+            scored.append(entry)
+            model.observe(snapshot)
+    return scored
 
 
 # ----------------------------------------------------------------------
@@ -179,33 +193,36 @@ class TestShardedEvaluation:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_summary_bit_identical_to_serial(self, splits, workers):
         train, valid, test = splits
-        serial = evaluate_extrapolation(revealed_model(train, valid), test)
-        sharded = evaluate_extrapolation_sharded(
+        entity, relation = RankAccumulator(), RankAccumulator()
+        for entry in scored_in_order(revealed_model(train, valid), test, dedup=True):
+            entity.update(entry.entity_ranks)
+            relation.update(entry.relation_ranks)
+        sharded = evaluate_extrapolation(
             revealed_model(train, valid), test, workers=workers
         )
-        # Exact ==, no tolerance: the merge chain replays the serial
-        # float-accumulation chain operation for operation.
-        assert sharded.entity == serial.entity
-        assert sharded.relation == serial.relation
+        # Exact ==, no tolerance: every worker count must rank each
+        # timestamp and fold the ranks exactly as the written-out loop.
+        assert sharded.entity == entity.summary()
+        assert sharded.relation == relation.summary()
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_diagnostics_bit_identical_to_serial(self, splits, workers):
         train, valid, test = splits
         known = known_entities_of(train, valid)
-        serial = diagnose_extrapolation(
-            revealed_model(train, valid), test, known_entities=known
-        )
-        sharded = diagnose_extrapolation_sharded(
+        serial = DiagnosticsAccumulators(known, test.num_entities)
+        for entry in scored_in_order(revealed_model(train, valid), test, dedup=False):
+            serial.update(entry)
+        sharded = diagnose_extrapolation(
             revealed_model(train, valid), test, known_entities=known, workers=workers
         )
-        assert sharded.to_dict() == serial.to_dict()
+        assert sharded.to_dict() == serial.report("raw", True).to_dict()
 
     def test_caller_model_ends_with_test_horizon_revealed(self, splits):
         train, valid, test = splits
         serial_model = revealed_model(train, valid)
         evaluate_extrapolation(serial_model, test)
         sharded_model = revealed_model(train, valid)
-        evaluate_extrapolation_sharded(sharded_model, test, workers=2)
+        evaluate_extrapolation(sharded_model, test, workers=2)
         last = int(test.timestamps[-1]) + 1
         assert len(sharded_model.history_before(last)) == len(
             serial_model.history_before(last)
@@ -217,15 +234,15 @@ class TestShardedEvaluation:
                 pass
 
         with pytest.raises(ShardedEvalError, match="inherently sequential"):
-            evaluate_extrapolation_sharded(
+            evaluate_extrapolation(
                 OnlineOnly(), None, workers=2, observe=True
             )
 
     def test_workers_one_admits_sequential_only_models(self, splits):
-        # At workers=1 the sharded entry point must replay the
-        # *sequential* reveal schedule, so a model exposing only
-        # ``observe`` (the OnlineAdapter shape — no record_snapshot /
-        # history_before) evaluates fine and matches the serial driver.
+        # At workers=1 the driver must replay the *sequential* reveal
+        # schedule, so a model exposing only ``observe`` (the
+        # OnlineAdapter shape — no record_snapshot / history_before)
+        # evaluates fine and matches the record-only RETIA it wraps.
         train, valid, test = splits
 
         class SequentialOnly:
@@ -242,7 +259,7 @@ class TestShardedEvaluation:
                 return self._inner.predict_relations(pairs, ts)
 
         serial = evaluate_extrapolation(revealed_model(train, valid), test)
-        sharded = evaluate_extrapolation_sharded(
+        sharded = evaluate_extrapolation(
             SequentialOnly(revealed_model(train, valid)), test, workers=1
         )
         assert sharded.entity == serial.entity
@@ -251,23 +268,53 @@ class TestShardedEvaluation:
     def test_refuses_invalid_worker_count(self, splits):
         train, valid, test = splits
         with pytest.raises(ShardedEvalError):
-            evaluate_extrapolation_sharded(
+            evaluate_extrapolation(
                 revealed_model(train, valid), test, workers=0
             )
 
     def test_filtered_setting_requires_index(self, splits):
         train, valid, test = splits
         with pytest.raises(ShardedEvalError, match="FilterIndex"):
-            evaluate_extrapolation_sharded(
+            evaluate_extrapolation(
                 revealed_model(train, valid), test, setting="static", workers=2
             )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("driver", [evaluate_extrapolation, diagnose_extrapolation])
+    def test_unknown_setting_refused_before_scoring(
+        self, splits, monkeypatch, driver, workers
+    ):
+        train, valid, test = splits
+        monkeypatch.setattr(
+            "repro.parallel.eval.score_timestamp", TestShardedEvaluation.refuse_scoring
+        )
+        index = FilterIndex(test)
+        empty = TemporalKG(np.zeros((0, 4), dtype=np.int64), test.num_entities, test.num_relations)
+        for graph in (test, empty):
+            with pytest.raises(ValueError) as excinfo:
+                driver(
+                    revealed_model(train, valid),
+                    graph,
+                    setting="filtered",
+                    filter_index=index,
+                    workers=workers,
+                )
+            # A plain ValueError from the coordinator, not a wrapped
+            # pool-worker failure.
+            assert type(excinfo.value) is ValueError
+            for setting in ("'raw'", "'static'", "'time'"):
+                assert setting in str(excinfo.value)
+
+    @staticmethod
+    def refuse_scoring(*args, **kwargs):
+        raise AssertionError("scoring started before the setting was checked")
 
     def test_worker_telemetry_reaches_reporter_and_registry(self, splits):
         train, valid, test = splits
         buf = io.StringIO()
         registry = MetricsRegistry()
         with RunReporter(buf) as reporter:
-            evaluate_extrapolation_sharded(
+            evaluate_extrapolation(
                 revealed_model(train, valid),
                 test,
                 workers=2,
@@ -538,7 +585,7 @@ class TestShardedEvalWorkerFailures:
         train, valid, test = splits
         model = _revealed(KilledInWorker, train, valid)
         with pytest.raises(ShardedEvalError, match="produced no result within") as e:
-            evaluate_extrapolation_sharded(
+            evaluate_extrapolation(
                 model, test, workers=2, shard_timeout=2.0
             )
         message = str(e.value)
@@ -552,5 +599,5 @@ class TestShardedEvalWorkerFailures:
         with pytest.raises(
             ShardedEvalError, match="worker exploded on purpose"
         ) as e:
-            evaluate_extrapolation_sharded(model, test, workers=2)
+            evaluate_extrapolation(model, test, workers=2)
         assert "failed in a pool worker: RuntimeError" in str(e.value)

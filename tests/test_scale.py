@@ -22,7 +22,6 @@ from repro.eval import evaluate_extrapolation
 from repro.eval.metrics import ranks_from_scores
 from repro.io import load_checkpoint, save_checkpoint
 from repro.obs import RunReporter, read_events
-from repro.parallel import evaluate_extrapolation_sharded
 from repro.scale import (
     BlockedScorer,
     DenseScorer,
@@ -358,6 +357,55 @@ class TestModelScorerSeam:
             scorer.ranks(queries, tables, targets[: queries.shape[1]])
 
 
+class TestProtocolScorerRouting:
+    """``score_timestamp`` ranks through ``rank_entities`` exactly when a scorer is set."""
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("protocol took the wrong ranking path")
+
+    def test_scorerless_retia_never_enters_rank_entities(self, splits, monkeypatch):
+        train, valid, test = splits
+        monkeypatch.setattr(RETIA, "rank_entities", self.refuse)
+        result = evaluate_extrapolation(revealed_model(train, valid), test)
+        assert result.entity["count"] > 0
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["live-with-scorer", "frozen"])
+    def test_scorer_models_always_enter_rank_entities(self, splits, monkeypatch, frozen):
+        train, valid, test = splits
+        model = revealed_model(train, valid)
+        if frozen:
+            model = FrozenWindowModel.freeze(model, int(test.timestamps[0]))
+        else:
+            model.set_scorer("blocked:5:7")
+        owner = type(model)
+        inner = owner.rank_entities
+        ranked_at = []
+
+        def counted(self, queries, targets, ts, **kwargs):
+            ranked_at.append(int(ts))
+            return inner(self, queries, targets, ts, **kwargs)
+
+        monkeypatch.setattr(owner, "rank_entities", counted)
+        monkeypatch.setattr(owner, "predict_entities", self.refuse)
+        evaluate_extrapolation(model, test, evaluate_relations=False)
+        expected = [int(t) for t in test.timestamps if len(test.snapshot(int(t)).triples)]
+        assert ranked_at == expected
+
+    def test_rank_entities_without_a_scorer_raises(self, splits):
+        from repro.scale import snapshot as frozen_window
+
+        train, valid, test = splits
+        model = revealed_model(train, valid)
+        ts = int(test.timestamps[0])
+        facts = test.snapshot(ts).triples
+        queries, targets = facts[:, [0, 1]], facts[:, 2]
+        with pytest.raises(ValueError, match="scorer"):
+            model.rank_entities(queries, targets, ts)
+        with pytest.raises(ValueError, match="scorer"):
+            frozen_window.rank_entities(model, model.embedding_snapshot(ts), queries, targets)
+
+
 class TestHistoryCandidateIndex:
     def test_frequency_then_recency_then_id_ordering(self, splits):
         train, valid, _ = splits
@@ -382,8 +430,8 @@ class TestFrozenWindowModel:
         spilled = FrozenWindowModel.freeze(model, first_ts, spill_dir=str(tmp_path))
         assert {s.backend for s in ram.snapshot.entity_list} == {"ram"}
         assert {s.backend for s in spilled.snapshot.entity_list} == {"memmap"}
-        ram_result = evaluate_extrapolation_sharded(ram, test, workers=1)
-        mm_result = evaluate_extrapolation_sharded(spilled, test, workers=1)
+        ram_result = evaluate_extrapolation(ram, test, workers=1)
+        mm_result = evaluate_extrapolation(spilled, test, workers=1)
         assert ram_result.entity == mm_result.entity
         assert ram_result.relation == mm_result.relation
 
@@ -398,8 +446,8 @@ class TestFrozenWindowModel:
         report_path = str(tmp_path / "run.jsonl")
         reporter = RunReporter(report_path)
         try:
-            serial = evaluate_extrapolation_sharded(frozen, test, workers=1)
-            parallel = evaluate_extrapolation_sharded(
+            serial = evaluate_extrapolation(frozen, test, workers=1)
+            parallel = evaluate_extrapolation(
                 frozen, test, workers=2, reporter=reporter
             )
         finally:

@@ -26,6 +26,7 @@ import pytest
 from repro.core import RETIA, RETIAConfig, TrainerConfig
 from repro.core.trainer import OnlineAdapter
 from repro.datasets import SyntheticTKGConfig, generate_tkg
+from repro.eval import evaluate_extrapolation
 from repro.obs import (
     BurnWindow,
     MetricsRegistry,
@@ -37,7 +38,6 @@ from repro.obs import (
     tracing,
 )
 from repro.obs.tracing import SpanCollector, TraceContext
-from repro.parallel import evaluate_extrapolation_sharded
 from repro.serve import ModelServer, ServeConfig, loadgen
 
 _SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -149,7 +149,7 @@ class TestTraceContext:
         collector = SpanCollector()
         with tracing.collect_spans(collector):
             with tracing.span("evaluate"):
-                evaluate_extrapolation_sharded(
+                evaluate_extrapolation(
                     revealed_model(train, valid), test, workers=workers
                 )
         assert collector.is_balanced
@@ -167,7 +167,7 @@ class TestTraceContext:
 
     def test_uninstrumented_eval_collects_nothing(self, splits):
         train, valid, test = splits
-        evaluate_extrapolation_sharded(
+        evaluate_extrapolation(
             revealed_model(train, valid), test, workers=2
         )
         assert tracing.active() is None
